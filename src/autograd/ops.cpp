@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 #include <string>
 
@@ -25,15 +26,15 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
   }
 }
 
-// Per-thread scratch reused across inference-only convolution calls (conv2d
-// and the depthwise kernel share the padded buffer sequentially). The padded
-// input and im2col matrix are the two big per-forward allocations; serving
-// runs the same shapes over and over, so keeping the buffers warm per thread
-// removes the allocator from the hot path. The GEMM pack panels live in
-// matching per-thread scratch inside linalg::sgemm, so the whole forward is
-// allocation-free once a serving thread is warm. Gradient-tracking calls
-// cannot use this: their column matrix must outlive the forward for the
-// backward GEMMs.
+// Per-thread scratch reused across convolution forwards (conv2d and the
+// depthwise kernel share the padded buffer sequentially). The padded input
+// and im2col matrix are the two big per-forward allocations; serving runs the
+// same shapes over and over, so keeping the buffers warm per thread removes
+// the allocator from the hot path. The GEMM pack panels live in matching
+// per-thread scratch inside linalg::sgemm, so a no-grad forward is
+// allocation-free once a serving thread is warm. No backward reads the padded
+// buffer, so both modes pad here; a graph-building conv2d keeps its column
+// matrix in a Tensor instead, because the backward GEMMs read it later.
 struct ConvScratch {
   std::vector<float> padded;
   std::vector<float> cols;
@@ -126,7 +127,8 @@ Variable straight_through(const Variable& a, const Tensor& forward_value) {
 // ---- shape ------------------------------------------------------------------
 
 Variable reshape(const Variable& a, Shape new_shape) {
-  Tensor out = a.value().clone().reshape(new_shape);
+  // Shares storage with `a`: the backward reads only the gradient.
+  Tensor out = a.value().reshape(new_shape);
   const Shape old_shape = a.shape();
   return make_op("reshape", std::move(out), {a}, [a, old_shape](Node& node) mutable {
     if (a.requires_grad()) a.node()->accumulate_grad(node.grad().reshape(old_shape));
@@ -136,14 +138,8 @@ Variable reshape(const Variable& a, Shape new_shape) {
 Variable flatten2d(const Variable& a) {
   if (a.shape().rank() != 4) throw std::invalid_argument("flatten2d: expected NCHW");
   const auto n = a.shape()[0];
-  const Shape flat = Shape::mat(n, a.value().numel() / n);
-  if (!grad_enabled() || !a.requires_grad()) {
-    // Inference fast path, mirroring the convolution scratch reuse: reshape
-    // shares storage, so the classifier head reads the conv output in place
-    // instead of deep-copying the whole feature batch every forward.
-    return Variable::constant(a.value().reshape(flat));
-  }
-  return reshape(a, flat);
+  // The classifier head reads the conv output in place.
+  return reshape(a, Shape::mat(n, a.value().numel() / n));
 }
 
 Variable broadcast_batch(const Variable& a, std::int64_t n) {
@@ -191,11 +187,6 @@ Variable repeat_batch(const Variable& a, std::int64_t k) {
 
 Variable relu(const Variable& a) {
   Tensor out = tensor::relu(a.value());
-  if (!grad_enabled() || !a.requires_grad()) {
-    // Inference fast path, matching conv2d/dense/flatten2d: skip make_op so
-    // the serving forward builds neither a parents vector nor a closure.
-    return Variable::constant(std::move(out));
-  }
   return make_op("relu", std::move(out), {a}, [a](Node& node) mutable {
     if (!a.requires_grad()) return;
     const Tensor mask = tensor::relu_mask(a.value());
@@ -246,33 +237,17 @@ Variable matmul(const Variable& a, const Variable& b) {
 }
 
 Variable dense(const Variable& x, const Variable& w, const Variable& b) {
-  const bool needs_grad =
-      grad_enabled() && (x.requires_grad() || w.requires_grad() ||
-                         (b.defined() && b.requires_grad()));
-  // One arithmetic path for both modes, so the inference result is bitwise
-  // equal to the graph path by construction.
-  auto compute = [&] {
-    Tensor out = tensor::matmul(x.value(), w.value());
-    if (b.defined()) {
-      const std::int64_t m = out.dim(0), n = out.dim(1);
-      if (b.value().numel() != n) throw std::invalid_argument("dense: bias size mismatch");
-      for (std::int64_t i = 0; i < m; ++i) {
-        float* row = out.data() + i * n;
-        const float* bias = b.value().data();
-        for (std::int64_t j = 0; j < n; ++j) row[j] += bias[j];
-      }
+  Tensor out = tensor::matmul(x.value(), w.value());
+  if (b.defined()) {
+    const std::int64_t m = out.dim(0), n = out.dim(1);
+    if (b.value().numel() != n) throw std::invalid_argument("dense: bias size mismatch");
+    for (std::int64_t i = 0; i < m; ++i) {
+      float* row = out.data() + i * n;
+      const float* bias = b.value().data();
+      for (std::int64_t j = 0; j < n; ++j) row[j] += bias[j];
     }
-    return out;
-  };
-  if (!needs_grad) {
-    // Inference-only path mirroring the conv2d/depthwise fast paths: no graph
-    // node is built and the closure never retains x/w/b. Paired with
-    // flatten2d's zero-copy fast path, the classifier head adds no autograd
-    // allocations to a serving forward.
-    return Variable::constant(compute());
   }
-
-  return make_op("dense", compute(), {x, w, b}, [x, w, b](Node& node) mutable {
+  return make_op("dense", std::move(out), {x, w, b}, [x, w, b](Node& node) mutable {
     const Tensor& g = node.grad();
     if (x.requires_grad()) x.node()->accumulate_grad(tensor::matmul_nt(g, w.value()));
     if (w.requires_grad()) w.node()->accumulate_grad(tensor::matmul_tn(x.value(), g));
@@ -309,58 +284,48 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   const std::int64_t oh = tensor::conv_out_size(hp, kh, stride);
   const std::int64_t ow = tensor::conv_out_size(wp, kw, stride);
   const std::int64_t patch = c * kh * kw;
+  if (oh <= 0 || ow <= 0) throw std::invalid_argument("conv2d: kernel larger than input");
 
-  const bool needs_grad =
-      grad_enabled() && (x.requires_grad() || w.requires_grad() ||
-                         (b.defined() && b.requires_grad()));
+  auto& scratch = conv_scratch();
+  const float* padded = x.value().data();
+  if (pad > 0) {
+    scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
+    tensor::pad2d_into(x.value(), pad, pad, scratch.padded.data());
+    padded = scratch.padded.data();
+  }
+  // The column matrix is the one buffer a backward reads: a graph keeps it in
+  // a Tensor owned by the closure, a no-grad forward leaves it in scratch.
+  std::optional<Tensor> kept_cols;
+  float* cols = nullptr;
+  if (needs_graph({x, w, b})) {
+    cols = kept_cols.emplace(Shape{n, patch, oh * ow}).data();
+  } else {
+    scratch.cols.resize(static_cast<std::size_t>(n * patch * oh * ow));
+    cols = scratch.cols.data();
+  }
+  tensor::im2col_into(padded, n, c, hp, wp, kh, kw, stride, stride, cols);
+
+  Tensor out(Shape::nchw(n, f, oh, ow));
   const float* wdata = w.value().data();
-
-  auto add_bias = [&](Tensor& out) {
-    if (!b.defined()) return;
+  util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
+    for (std::int64_t in = n0; in < n1; ++in) {
+      linalg::sgemm_nn(f, oh * ow, patch, wdata, cols + in * patch * oh * ow,
+                       out.data() + in * f * oh * ow, /*accumulate=*/false);
+    }
+  }, /*min_chunk=*/1);
+  if (b.defined()) {
     const float* bias = b.value().data();
     for (std::int64_t in = 0; in < n; ++in)
       for (std::int64_t ic = 0; ic < f; ++ic) {
         float* plane = out.data() + (in * f + ic) * oh * ow;
         for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias[ic];
       }
-  };
-  auto gemm_batch = [&](const float* cols_data, Tensor& out) {
-    util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
-      for (std::int64_t in = n0; in < n1; ++in) {
-        linalg::sgemm_nn(f, oh * ow, patch, wdata, cols_data + in * patch * oh * ow,
-                         out.data() + in * f * oh * ow, /*accumulate=*/false);
-      }
-    }, /*min_chunk=*/1);
-  };
-
-  if (!needs_grad) {
-    // Inference-only path: no graph is built and the backward GEMMs never
-    // run, so the padded/column buffers can live in per-thread scratch
-    // instead of being allocated (and retained by the closure) per call.
-    auto& scratch = conv_scratch();
-    const float* padded = x.value().data();
-    if (pad > 0) {
-      scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-      tensor::pad2d_into(x.value(), pad, pad, scratch.padded.data());
-      padded = scratch.padded.data();
-    }
-    scratch.cols.resize(static_cast<std::size_t>(n * patch * oh * ow));
-    tensor::im2col_into(padded, n, c, hp, wp, kh, kw, stride, stride, scratch.cols.data());
-    Tensor out(Shape::nchw(n, f, oh, ow));
-    gemm_batch(scratch.cols.data(), out);
-    add_bias(out);
-    return Variable::constant(std::move(out));
   }
-
-  const Tensor xp = tensor::pad2d(x.value(), pad, pad);
-  const Tensor cols = tensor::im2col(xp, kh, kw, stride, stride);  // [n, patch, oh*ow]
-  Tensor out(Shape::nchw(n, f, oh, ow));
-  gemm_batch(cols.data(), out);
-  add_bias(out);
 
   return make_op(
       "conv2d", std::move(out), {x, w, b},
-      [x, w, b, cols, n, c, f, kh, kw, stride, pad, hp, wp, oh, ow, patch](Node& node) mutable {
+      [x, w, b, cols = std::move(kept_cols), n, c, f, kh, kw, stride, pad, hp, wp, oh, ow,
+       patch](Node& node) mutable {
         const Tensor& g = node.grad();  // [n, f, oh, ow]
         if (w.requires_grad()) {
           // dW[f, patch] accumulates G_in * Cols_in^T across the batch.
@@ -368,7 +333,7 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
           float* dwp = dw.data();
           for (std::int64_t in = 0; in < n; ++in) {
             linalg::sgemm_nt(f, patch, oh * ow, g.data() + in * f * oh * ow,
-                             cols.data() + in * patch * oh * ow, dwp,
+                             cols->data() + in * patch * oh * ow, dwp,
                              /*accumulate=*/true);
           }
           w.node()->accumulate_grad(dw);
@@ -408,70 +373,33 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
   const int kw = static_cast<int>(w.shape()[2]);
   const int ph = kh / 2, pw = kw / 2;
 
-  const bool needs_grad =
-      grad_enabled() && (x.requires_grad() || w.requires_grad() ||
-                         (b.defined() && b.requires_grad()));
-  if (!needs_grad) {
-    // Inference-only path, mirroring the conv2d fast path: pad the input into
-    // per-thread scratch once so the tap loops need no border checks. The
-    // padding contributes exact ±0.0 terms, which leave every partial sum
-    // bitwise unchanged, so this path matches the checked path bit for bit.
-    const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
-    auto& scratch = conv_scratch();
-    scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-    tensor::pad2d_into(x.value(), ph, pw, scratch.padded.data());
-    const float* padded = scratch.padded.data();
-    Tensor out(x.shape());
-    const float* wv = w.value().data();
-    // The per-row tap loop is kernel-dispatched; every target keeps the
-    // double accumulator and ascending (fy, fx) tap order, so results are
-    // bitwise identical across targets (and to the checked path).
-    const kernels::TapRowFn taps =
-        kernels::tap_row(util::active_kernel_target());
-    util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
-      for (std::int64_t p = p0; p < p1; ++p) {
-        const std::int64_t ic = p % c;
-        const float* src = padded + p * hp * wp;
-        const float* ker = wv + ic * kh * kw;
-        float* dst = out.data() + p * h * wdim;
-        for (std::int64_t y = 0; y < h; ++y) {
-          taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
-        }
-      }
-    }, /*min_chunk=*/1);
-    if (b.defined()) out = tensor::broadcast_bias_nchw(out, b.value());
-    return Variable::constant(std::move(out));
-  }
-
+  // Pad the input into per-thread scratch once so the tap loops need no
+  // border checks. The padding contributes exact ±0.0 terms for finite
+  // kernel taps, which leave every partial sum bitwise unchanged; a
+  // non-finite tap turns its border terms into NaN.
+  const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
+  auto& scratch = conv_scratch();
+  scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
+  tensor::pad2d_into(x.value(), ph, pw, scratch.padded.data());
+  const float* padded = scratch.padded.data();
   Tensor out(x.shape());
-  const float* xv = x.value().data();
   const float* wv = w.value().data();
+  // The per-row tap loop is kernel-dispatched; every target keeps the double
+  // accumulator and ascending (fy, fx) tap order, so results are bitwise
+  // identical across targets.
+  const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
   util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t ic = p % c;
-      const float* src = xv + p * h * wdim;
+      const float* src = padded + p * hp * wp;
       const float* ker = wv + ic * kh * kw;
       float* dst = out.data() + p * h * wdim;
       for (std::int64_t y = 0; y < h; ++y) {
-        for (std::int64_t xx = 0; xx < wdim; ++xx) {
-          double acc = 0.0;
-          for (int fy = 0; fy < kh; ++fy) {
-            const std::int64_t sy = y + fy - ph;
-            if (sy < 0 || sy >= h) continue;
-            for (int fx = 0; fx < kw; ++fx) {
-              const std::int64_t sx = xx + fx - pw;
-              if (sx < 0 || sx >= wdim) continue;
-              acc += static_cast<double>(ker[fy * kw + fx]) * src[sy * wdim + sx];
-            }
-          }
-          dst[y * wdim + xx] = static_cast<float>(acc);
-        }
+        taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
       }
     }
   }, /*min_chunk=*/1);
-  if (b.defined()) {
-    out = tensor::broadcast_bias_nchw(out, b.value());
-  }
+  if (b.defined()) out = tensor::broadcast_bias_nchw(out, b.value());
 
   return make_op(
       "depthwise_conv2d", std::move(out), {x, w, b},

@@ -27,8 +27,9 @@ Variable add_const(const Variable& a, const tensor::Tensor& c);
 Variable straight_through(const Variable& a, const tensor::Tensor& forward_value);
 
 // ---- shape ------------------------------------------------------------------
+/// Same elements under a new shape; the result shares `a`'s storage.
 Variable reshape(const Variable& a, tensor::Shape new_shape);
-/// Flatten an NCHW batch to [N, C*H*W].
+/// Flatten an NCHW batch to [N, C*H*W] (a reshape, so storage is shared).
 Variable flatten2d(const Variable& a);
 /// Tile a [1,C,H,W] tensor to [n,C,H,W]; gradient sums over the batch. Used
 /// by the shared-sticker RP2 mode (one physical perturbation, many views).

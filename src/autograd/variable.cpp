@@ -12,7 +12,7 @@ namespace {
 thread_local bool t_grad_enabled = true;
 }
 
-bool grad_enabled() { return t_grad_enabled; }
+bool grad_enabled() { return t_grad_enabled; }  // lint:allow(grad-mode) definition
 
 NoGradGuard::NoGradGuard() : previous_(t_grad_enabled) { t_grad_enabled = false; }
 NoGradGuard::~NoGradGuard() { t_grad_enabled = previous_; }
@@ -40,10 +40,10 @@ Variable Variable::leaf(tensor::Tensor value, bool requires_grad) {
 }
 
 Variable Variable::constant(tensor::Tensor value) {
-  // Constants are the nodes the inference fast paths churn through on every
-  // forward; allocate_shared through the scratch layer puts the node and its
-  // control block in the request arena when one is bound (zero heap
-  // allocations on a warm serving thread), and on the heap otherwise.
+  // Constants are the nodes every no-grad forward churns through (make_op
+  // returns one per op); allocate_shared through the scratch layer puts the
+  // node and its control block in the request arena when one is bound (zero
+  // heap allocations on a warm serving thread), and on the heap otherwise.
   return Variable(std::allocate_shared<Node>(util::ScratchAllocator<Node>(),
                                              std::move(value), false, "const"));
 }
@@ -56,27 +56,29 @@ float Variable::scalar_value() const {
   return node_->value()[0];
 }
 
-Variable make_op(const std::string& name, tensor::Tensor value,
-                 std::vector<Variable> parents, std::function<void(Node&)> backward_fn) {
-  bool any_requires = false;
-  if (grad_enabled()) {
-    for (const auto& p : parents) {
-      if (p.defined() && p.requires_grad()) {
-        any_requires = true;
-        break;
-      }
-    }
+bool needs_graph(std::initializer_list<Variable> parents) {
+  if (!t_grad_enabled) return false;
+  for (const auto& p : parents) {
+    if (p.requires_grad()) return true;
   }
+  return false;
+}
+
+namespace detail {
+
+Variable graph_op(const char* name, tensor::Tensor value,
+                  std::initializer_list<Variable> parents,
+                  std::function<void(Node&)> backward_fn) {
   auto node = std::allocate_shared<Node>(util::ScratchAllocator<Node>(),
-                                         std::move(value), any_requires, name);
-  if (any_requires) {
-    for (const auto& p : parents) {
-      if (p.defined()) node->parents().push_back(p.node());
-    }
-    node->set_backward(std::move(backward_fn));
+                                         std::move(value), true, name);
+  for (const auto& p : parents) {
+    if (p.defined()) node->parents().push_back(p.node());
   }
+  node->set_backward(std::move(backward_fn));
   return Variable(std::move(node));
 }
+
+}  // namespace detail
 
 void backward(const Variable& root) {
   if (!root.defined()) throw std::invalid_argument("backward: undefined root");

@@ -6,13 +6,17 @@
 // backward() on a scalar root runs a topological sweep that accumulates
 // gradients into every node with requires_grad().
 //
-// When no input of an op requires gradients the op does not retain parents or
-// a closure, so inference-only forwards build no graph and cost nothing extra.
+// Every op has one forward computation and hands its result to make_op, which
+// alone decides whether a graph node is needed. When gradient mode is off or
+// no input requires gradients, the result is a plain constant with no parents
+// or closure, so inference-only forwards build no graph and cost nothing extra.
 #pragma once
 
 #include <functional>
+#include <initializer_list>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tensor/tensor.h"
@@ -87,9 +91,9 @@ class Variable {
 
 /// Thread-local gradient mode. While disabled, make_op produces plain
 /// constants — no parents, no closure — even when inputs are requires_grad
-/// leaves, so inference over trained parameters builds no graph and ops may
-/// take allocation-free fast paths. Enabled by default.
-bool grad_enabled();
+/// leaves, so inference over trained parameters builds no graph. Enabled by
+/// default. Ops never branch on it: they ask needs_graph() (via make_op).
+bool grad_enabled();  // lint:allow(grad-mode) declaration
 
 /// RAII scope that disables gradient tracking on this thread (used by
 /// LisaCnn::logits and the serving engine).
@@ -107,10 +111,29 @@ class NoGradGuard {
 /// Run the backward sweep from a scalar root (seeds d(root)/d(root) = 1).
 void backward(const Variable& root);
 
-/// Construct an op node: value, parents, and a closure that pushes this
-/// node's grad into its parents. The closure is only retained when at least
-/// one parent requires gradients.
-Variable make_op(const std::string& name, tensor::Tensor value,
-                 std::vector<Variable> parents, std::function<void(Node&)> backward_fn);
+/// True when gradient mode is on for this thread and at least one defined
+/// parent requires a gradient: the one "does this op need a graph node?"
+/// decision. make_op applies it; an op reads it directly only to choose where
+/// a buffer its backward will read lives (conv2d's column matrix).
+bool needs_graph(std::initializer_list<Variable> parents);
+
+namespace detail {
+/// make_op's graph branch: a node that keeps its parents and backward closure.
+Variable graph_op(const char* name, tensor::Tensor value,
+                  std::initializer_list<Variable> parents,
+                  std::function<void(Node&)> backward_fn);
+}  // namespace detail
+
+/// Construct an op result: value, parents, and a closure that pushes this
+/// node's grad into its parents. When !needs_graph(parents) the result is a
+/// plain constant, decided before the parent vector, std::function or name
+/// string is built, so a no-grad forward adds no per-op heap allocation.
+template <typename Backward>
+Variable make_op(const char* name, tensor::Tensor value,
+                 std::initializer_list<Variable> parents, Backward&& backward_fn) {
+  if (!needs_graph(parents)) return Variable::constant(std::move(value));
+  return detail::graph_op(name, std::move(value), parents,
+                          std::forward<Backward>(backward_fn));
+}
 
 }  // namespace blurnet::autograd

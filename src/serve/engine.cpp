@@ -92,8 +92,7 @@ void EngineConfig::validate() const {
 
 InferenceEngine::InferenceEngine(EngineConfig config)
     // Validate before the model is built: a bad batch/replica/queue knob must
-    // not cost a full weight allocation (and must carry the EngineConfig
-    // prefix).
+    // not cost a full weight allocation.
     : InferenceEngine([&config] { config.validate(); return nn::LisaCnn(config.model); }(),
                       config.defense, config.max_batch, config.replicas,
                       config.queue_capacity, config.overload_policy,
@@ -105,27 +104,10 @@ InferenceEngine::InferenceEngine(nn::LisaCnn model, nn::FixedFilterSpec defense,
     : model_(std::move(model)), max_batch_(max_batch), default_replicas_(replicas),
       queue_capacity_(queue_capacity), overload_policy_(overload_policy),
       block_timeout_ms_(block_timeout_ms) {
-  if (max_batch_ < 1) {
-    throw std::invalid_argument("InferenceEngine: max_batch must be >= 1 (got " +
-                                std::to_string(max_batch_) + ")");
-  }
-  if (default_replicas_ < 1) {
-    throw std::invalid_argument("InferenceEngine: replicas must be >= 1 (got " +
-                                std::to_string(default_replicas_) + ")");
-  }
-  if (queue_capacity_ < 1) {
-    throw std::invalid_argument("InferenceEngine: queue_capacity must be >= 1 (got " +
-                                std::to_string(queue_capacity_) + ")");
-  }
-  if (block_timeout_ms_ < 0) {
-    throw std::invalid_argument("InferenceEngine: block_timeout_ms must be >= 0 (got " +
-                                std::to_string(block_timeout_ms_) + ")");
-  }
-  if (overload_policy_ == OverloadPolicy::kReject && block_timeout_ms_ != 0) {
-    throw std::invalid_argument(
-        "InferenceEngine: block_timeout_ms (" + std::to_string(block_timeout_ms_) +
-        ") only applies to OverloadPolicy::kBlock — a kReject engine never waits");
-  }
+  // One set of checks and messages for both constructors.
+  EngineConfig{model_.config(), defense, max_batch, replicas, queue_capacity,
+               overload_policy, block_timeout_ms}
+      .validate();
   register_variant_locked(kBaseVariant, model_.config(), default_replicas_);
   defense_enabled_ = defense.placement != nn::FilterPlacement::kNone && defense.kernel > 0;
   if (defense_enabled_) {

@@ -113,7 +113,7 @@ struct EngineConfig {
 
   /// Reject malformed configs with a descriptive std::invalid_argument
   /// (non-positive max_batch / replicas / queue_capacity, negative timeout,
-  /// timeout combined with kReject). Called by the engine constructor.
+  /// timeout combined with kReject). Called by both engine constructors.
   void validate() const;
 };
 

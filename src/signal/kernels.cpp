@@ -116,23 +116,4 @@ tensor::Tensor filter2d_depthwise(const tensor::Tensor& x, const tensor::Tensor&
   return out;
 }
 
-tensor::Tensor filter2d_per_channel(const tensor::Tensor& x, const tensor::Tensor& kernels) {
-  if (x.rank() != 4) throw std::invalid_argument("filter2d_per_channel: expected NCHW");
-  if (kernels.rank() != 3 || kernels.dim(0) != x.dim(1)) {
-    throw std::invalid_argument("filter2d_per_channel: kernels must be [C, kh, kw]");
-  }
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const int kh = static_cast<int>(kernels.dim(1));
-  const int kw = static_cast<int>(kernels.dim(2));
-  tensor::Tensor out(x.shape());
-  util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
-    for (std::int64_t p = p0; p < p1; ++p) {
-      const std::int64_t ic = p % c;
-      filter_plane(x.data() + p * h * w, out.data() + p * h * w, h, w,
-                   kernels.data() + ic * kh * kw, kh, kw);
-    }
-  }, /*min_chunk=*/1);
-  return out;
-}
-
 }  // namespace blurnet::signal

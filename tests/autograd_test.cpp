@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
+#include "src/autograd/gradcheck.h"
 #include "src/autograd/ops.h"
 #include "src/autograd/variable.h"
 #include "src/signal/dct.h"
@@ -35,8 +37,8 @@ TEST(Variable, NoGradGuardDisablesGraphBuilding) {
   auto w = Variable::leaf(Tensor::scalar(2.0f), true);
   {
     // Under the guard, ops over requires-grad leaves must come out as plain
-    // constants — this is what makes the conv2d inference fast path (and the
-    // graph-free serving forward) reachable with trained parameters.
+    // constants — this is what keeps the serving forward graph-free (and
+    // conv2d's column matrix in scratch) with trained parameters.
     NoGradGuard no_grad;
     EXPECT_FALSE(grad_enabled());
     auto y = mul(w, w);
@@ -143,8 +145,8 @@ TEST(Ops, DenseMatchesManual) {
 }
 
 TEST(Ops, DenseInferenceFastPathBitwiseEqualsGraphPath) {
-  // The inference-only dense path (no graph node, constant result) must be
-  // bitwise equal to the graph path, like the convolution scratch fast paths.
+  // The no-grad dense result (no graph node, constant result) must be
+  // bitwise equal to the graph-mode result, as for the convolutions.
   util::Rng rng(11);
   const Tensor xv = Tensor::randn(Shape::mat(7, 33), rng);
   const Tensor wv = Tensor::randn(Shape::mat(33, 18), rng);
@@ -155,7 +157,7 @@ TEST(Ops, DenseInferenceFastPathBitwiseEqualsGraphPath) {
   const auto graph =
       dense(x_graph, Variable::constant(wv), Variable::constant(bv)).value();
 
-  // Fast path: no gradients anywhere.
+  // No-grad: no gradients anywhere.
   NoGradGuard no_grad;
   const auto fast =
       dense(Variable::constant(xv), Variable::constant(wv), Variable::constant(bv)).value();
@@ -172,7 +174,7 @@ TEST(Ops, DenseInferenceFastPathBitwiseEqualsGraphPath) {
   }
 }
 
-TEST(Ops, FlattenInferenceFastPathSharesStorage) {
+TEST(Ops, FlattenSharesStorageInBothModes) {
   util::Rng rng(13);
   const Tensor xv = Tensor::randn(Shape::nchw(2, 3, 4, 4), rng);
   {
@@ -182,13 +184,23 @@ TEST(Ops, FlattenInferenceFastPathSharesStorage) {
     EXPECT_EQ(flat.shape(), Shape::mat(2, 48));
     EXPECT_TRUE(flat.value().shares_storage_with(xv));
   }
-  // Training: the graph path deep-copies so the backward reshape is safe.
+  // Training: the graph node shares storage too — its backward reshapes only
+  // the gradient, never the value.
   auto leaf = Variable::leaf(xv.clone(), /*requires_grad=*/true);
   const auto flat = flatten2d(leaf);
-  EXPECT_FALSE(flat.value().shares_storage_with(leaf.value()));
+  EXPECT_TRUE(flat.requires_grad());
+  EXPECT_TRUE(flat.value().shares_storage_with(leaf.value()));
   for (std::int64_t i = 0; i < flat.value().numel(); ++i) {
     ASSERT_EQ(flat.value()[i], xv[i]);
   }
+  // The gradient still reaches the NCHW leaf through flatten -> dense.
+  const Tensor wv = Tensor::randn(Shape::mat(48, 5), rng, 0.0f, 0.2f);
+  const auto result = gradcheck(
+      [&](const Variable& x) {
+        return sum_squares(dense(flatten2d(x), Variable::constant(wv), Variable()));
+      },
+      xv);
+  EXPECT_TRUE(result.passed) << "max_rel_error=" << result.max_rel_error;
 }
 
 TEST(Ops, Conv2dIdentityKernel) {
@@ -240,6 +252,79 @@ TEST(Ops, DepthwiseMatchesSignalFilterInterior) {
       for (std::int64_t xx = 1; xx < 7; ++xx) {
         EXPECT_NEAR(via_op.value().at4(0, c, y, xx), via_signal.at4(0, c, y, xx), 1e-5);
       }
+}
+
+// Zero-padded depthwise correlation written out the slow way: every tap is
+// read (out-of-bounds taps read 0), double accumulator, ascending (fy, fx).
+Tensor naive_depthwise_same(const Tensor& x, const Tensor& w) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const std::int64_t kh = w.dim(1), kw = w.dim(2), ph = kh / 2, pw = kw / 2;
+  Tensor out(x.shape());
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const float* src = x.data() + p * h * wd;
+    const float* ker = w.data() + (p % c) * kh * kw;
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t xx = 0; xx < wd; ++xx) {
+        double acc = 0.0;
+        for (std::int64_t fy = 0; fy < kh; ++fy) {
+          for (std::int64_t fx = 0; fx < kw; ++fx) {
+            const std::int64_t sy = y + fy - ph, sx = xx + fx - pw;
+            const bool inside = sy >= 0 && sy < h && sx >= 0 && sx < wd;
+            acc += static_cast<double>(ker[fy * kw + fx]) * (inside ? src[sy * wd + sx] : 0.0f);
+          }
+        }
+        out[p * h * wd + y * wd + xx] = static_cast<float>(acc);
+      }
+    }
+  }
+  return out;
+}
+
+TEST(Ops, DepthwiseBitwiseEqualsNaiveZeroPaddedReference) {
+  util::Rng rng(31);
+  struct Case {
+    std::int64_t n, c, h, w;
+    std::int64_t kh, kw;
+  };
+  // Border-heavy: most (often all) output pixels have taps outside the plane.
+  for (const Case& k : {Case{2, 3, 3, 7, 5, 5}, Case{1, 2, 1, 1, 3, 3}, Case{1, 2, 4, 2, 3, 5},
+                        Case{2, 1, 6, 5, 4, 2}, Case{1, 3, 2, 3, 7, 7}, Case{1, 16, 9, 9, 5, 5}}) {
+    const Tensor xv = Tensor::randn(Shape::nchw(k.n, k.c, k.h, k.w), rng);
+    const Tensor wv = Tensor::randn(Shape{k.c, k.kh, k.kw}, rng);
+    const Tensor expected = naive_depthwise_same(xv, wv);
+    // Graph mode: a grad-requiring kernel makes the op build a node.
+    const auto graph =
+        depthwise_conv2d_same(Variable::constant(xv), Variable::leaf(wv.clone()), Variable());
+    ASSERT_TRUE(graph.requires_grad());
+    NoGradGuard no_grad;
+    const auto inference =
+        depthwise_conv2d_same(Variable::constant(xv), Variable::constant(wv), Variable());
+    for (std::int64_t i = 0; i < expected.numel(); ++i) {
+      ASSERT_EQ(graph.value()[i], expected[i]) << "graph, kernel " << k.kh << "x" << k.kw
+                                               << " on " << k.h << "x" << k.w << ", elem " << i;
+      ASSERT_EQ(inference.value()[i], expected[i]) << "no-grad, kernel " << k.kh << "x" << k.kw
+                                                   << " on " << k.h << "x" << k.w << ", elem " << i;
+    }
+  }
+}
+
+TEST(Ops, DepthwiseNonFiniteTapReachesBordersInBothModes) {
+  // Padding reads are real zero terms, so an infinite tap poisons every output
+  // pixel (inf * 0 is NaN at the borders), in graph mode and without a graph.
+  const Tensor xv = Tensor::full(Shape::nchw(1, 1, 3, 3), 1.0f);
+  Tensor wv(Shape{1, 3, 3});
+  wv[0] = std::numeric_limits<float>::infinity();  // top-left tap
+  const auto graph =
+      depthwise_conv2d_same(Variable::constant(xv), Variable::leaf(wv.clone()), Variable());
+  NoGradGuard no_grad;
+  const auto inference =
+      depthwise_conv2d_same(Variable::constant(xv), Variable::constant(wv), Variable());
+  for (std::int64_t i = 0; i < xv.numel(); ++i) {
+    EXPECT_FALSE(std::isfinite(graph.value()[i])) << "graph elem " << i;
+    EXPECT_FALSE(std::isfinite(inference.value()[i])) << "no-grad elem " << i;
+  }
+  EXPECT_TRUE(std::isnan(graph.value()[0]));  // the top-left tap reads padding here
+  EXPECT_TRUE(std::isnan(inference.value()[0]));
 }
 
 TEST(Ops, MaxPoolForward) {
@@ -499,15 +584,18 @@ TEST(KernelDispatch, DepthwiseInferenceBitwiseIdenticalAcrossTargets) {
   std::vector<float> scalar_out;
   for (const auto target : blurnet::testing::available_kernel_targets()) {
     blurnet::testing::ScopedKernelTarget scoped(target);
-    NoGradGuard no_grad;  // reach the dispatched inference fast path
+    // Graph mode (grad-requiring kernel) and no-grad mode run the same taps.
+    const auto graph = depthwise_conv2d_same(x, Variable::leaf(kernel.clone()), Variable());
+    NoGradGuard no_grad;
     const auto y = depthwise_conv2d_same(x, Variable::constant(kernel), Variable());
     if (target == util::KernelTarget::kScalar) {
       scalar_out.assign(y.value().data(), y.value().data() + y.value().numel());
-      continue;
     }
     for (std::int64_t i = 0; i < y.value().numel(); ++i) {
       ASSERT_EQ(y.value()[i], scalar_out[static_cast<std::size_t>(i)])
           << util::kernel_target_name(target) << " elem " << i;
+      ASSERT_EQ(graph.value()[i], scalar_out[static_cast<std::size_t>(i)])
+          << util::kernel_target_name(target) << " graph elem " << i;
     }
   }
 }

@@ -250,16 +250,6 @@ TEST(Kernels, ZeroSumKernelBorderNotAnnihilated) {
   EXPECT_NEAR(out.at4(0, 0, 0, 0), expected, 1e-5);
 }
 
-TEST(Kernels, PerChannelFilterUsesDistinctKernels) {
-  tensor::Tensor x = tensor::Tensor::full(tensor::Shape::nchw(1, 2, 5, 5), 1.0f);
-  tensor::Tensor kernels(tensor::Shape{2, 1, 1});
-  kernels[0] = 2.0f;  // channel 0 doubled
-  kernels[1] = 0.5f;  // channel 1 halved
-  const auto out = filter2d_per_channel(x, kernels);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 2, 2), 2.0f);
-  EXPECT_FLOAT_EQ(out.at4(0, 1, 2, 2), 0.5f);
-}
-
 // The filter tap loop is kernel-dispatched, but every target replicates the
 // scalar double-accumulator tap order, so filtering must be bitwise identical
 // across all available dispatch targets — and across worker counts within

@@ -26,6 +26,12 @@ linters cannot express:
                       — everything else goes through kernels/dispatch.h, which
                       is what keeps the scalar fallback path buildable and the
                       dispatch contract auditable.
+  grad-mode           no `grad_enabled()` calls in src: ops learn the mode
+                      only through make_op's needs_graph(), the one "build a
+                      graph node?" decision. An op that branches on the mode
+                      itself grows a second forward that tests must then keep
+                      bitwise in step. (Its declaration and definition in
+                      src/autograd/variable.{h,cpp} carry allow markers.)
 
 Comments and string literals are stripped before matching, so prose like
 "no new classify requests" never trips a rule. A finding can be suppressed
@@ -239,6 +245,13 @@ BANNED = [
         OWNERSHIP_DIRS,
         re.compile(r"(?<![\w:])delete(\s*\[\s*\])?\s+[A-Za-z_*(]"),
         "naked delete — ownership goes through smart pointers",
+    ),
+    (
+        "grad-mode",
+        ["src"],
+        re.compile(r"\bgrad_enabled\s*\("),
+        "grad_enabled() call — return through make_op (or ask needs_graph()) "
+        "instead of forking the op",
     ),
 ]
 
@@ -465,6 +478,13 @@ SELF_TESTS = [
         "src/linalg/gemm.cpp",
         "// the avx2 TU accumulates with _mm256_fmadd_ps(a, b, c)\nvoid f();\n",
         None,
+    ),
+    (
+        "grad-mode-fork-in-op",
+        "src/autograd/ops.cpp",
+        "Variable relu(const Variable& a) {\n"
+        "  if (!grad_enabled()) return Variable::constant(tensor::relu(a.value()));\n}\n",
+        "grad-mode",
     ),
 ]
 
