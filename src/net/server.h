@@ -1,29 +1,29 @@
 // blurnetd: the socket serving front-end for serve::InferenceEngine.
 //
-// A Server binds one TCP listen socket and runs a small poll()-based event
-// loop on its own thread: the loop accepts connections, reassembles frames
-// from nonblocking reads (FrameDecoder), decodes requests, and writes queued
-// response bytes back with short-write handling. Classify work never executes
-// on the loop — and neither does admission: decoded requests queue to a
-// per-connection submitter thread that calls the engine's existing submit()
-// path, so remote traffic inherits batching, replica sharding, bounded-queue
-// admission control and latency measurement unchanged, and a submit() that
-// waits for queue space (OverloadPolicy::kBlock) backpressures only its own
-// connection, never the loop:
+// A Server binds one TCP listen socket and runs one poll()-based event loop
+// on its own thread — the server's only thread, however many connections are
+// open. The loop accepts connections, reassembles frames from nonblocking
+// reads (FrameDecoder), decodes requests, admits classify work straight into
+// the engine's callback-form submit(), and writes queued response bytes back
+// with short-write handling. Remote traffic therefore inherits batching,
+// replica sharding, bounded-queue admission control and latency measurement
+// unchanged:
 //
-//   wire → decode → [submitter] submit() → coalesced replica forward → encode → wire
+//   wire → decode → submit() → coalesced replica forward → completion → encode → wire
 //
-// Because a blocked submitter must still be joinable by stop(), the
-// constructor rejects engines configured with kBlock and no block timeout —
-// socket serving requires kReject or a finite block_timeout_ms.
+// Admission must never block the loop, so the constructor rejects engines
+// configured with OverloadPolicy::kBlock: socket serving sheds (kReject) and
+// reports the shed to the client as a typed frame.
 //
-// Each connection also owns one harvester thread that waits on its submitted
-// futures in FIFO order, encodes the prediction (or typed error) frame, and
-// appends it to the connection's outbox for the event loop to flush. Replies
-// to classify requests therefore come back in per-connection submission
-// order, while ping/stats replies are written immediately by the loop and may
-// overtake them — clients correlate by request id (the client library
-// pipelines on exactly this).
+// Classify work never executes on the loop. The engine's replica worker runs
+// each request's completion, which only stores the prediction on its
+// connection and pokes the loop's wake pipe; the loop then encodes the reply
+// and appends it to the connection's outbox. Replies therefore come back in
+// completion order, and ping/stats replies (written immediately by the loop)
+// may overtake them — clients correlate by request id (the client library
+// pipelines on exactly this). A completion touches only its connection and
+// the wake pipe, both shared_ptr-owned, so a request that completes after the
+// Server is gone is harmless.
 //
 // Backpressure is bidirectional: the loop stops reading from a connection
 // whose unflushed outbox exceeds ServerConfig::max_outbox_bytes (a client
@@ -42,15 +42,13 @@
 // admitted keep draining (bounded by ServerConfig::drain_timeout_ms), new
 // classify requests are refused with kShuttingDown frames, and once every
 // connection is idle — or the deadline passes — connections are closed and
-// all threads join. The destructor calls stop().
+// the loop thread joins. Requests still inside the engine at that point
+// complete into the void. The destructor calls stop().
 #pragma once
 
 #include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -114,7 +112,7 @@ class Server {
   /// Graceful shutdown: stop accepting, refuse new classify requests with
   /// kShuttingDown frames, drain in-flight requests (bounded by
   /// drain_timeout_ms), flush outboxes, then close every connection and join
-  /// all threads. Idempotent and safe to call from any thread; blocks until
+  /// the loop thread. Idempotent and safe to call from any thread; blocks until
   /// shutdown is complete.
   void stop();
 
@@ -124,49 +122,58 @@ class Server {
   ServerStats stats() const;
 
  private:
-  /// One decoded classify (or classify-batch) request awaiting submission by
-  /// the connection's submitter thread.
-  struct PendingRequest {
-    std::uint32_t request_id = 0;
-    bool batch = false;
-    ClassifyRequest request;
+  /// The self-pipe that wakes poll(). Engine completions hold it through
+  /// their connection, so its fds close only with the last reference — a
+  /// request completing after ~Server writes to a live pipe nobody reads,
+  /// never to a closed (or reused) fd.
+  struct WakePipe {
+    WakePipe();
+    ~WakePipe();
+    WakePipe(const WakePipe&) = delete;
+    WakePipe& operator=(const WakePipe&) = delete;
+
+    /// Make the loop's poll() return. Never blocks: a full pipe already
+    /// holds a pending wake-up.
+    void poke() const;
+    /// Empty the pipe (loop thread, after poll()).
+    void drain() const;
+
+    int read_fd = -1;
+    int write_fd = -1;
   };
 
-  /// One submitted request handed to the harvester: the engine futures for
-  /// each image, in image order.
-  struct PendingReply {
+  /// One admitted classify (or classify-batch) request. Engine completions
+  /// fill `predictions` under the connection's mutex; the one that brings
+  /// `remaining` to zero hands the reply to the loop.
+  struct Reply {
     std::uint32_t request_id = 0;
     bool batch = false;
-    std::vector<std::future<serve::Prediction>> futures;
+    int remaining = 0;                            // images not yet completed
+    std::vector<serve::Prediction> predictions;   // image order
+    std::exception_ptr error;                     // first engine failure, if any
   };
 
   struct Connection {
-    Connection(Socket sock, std::uint64_t id, std::size_t max_frame_bytes)
-        : socket(std::move(sock)), id(id), decoder(max_frame_bytes) {}
+    Connection(Socket sock, std::uint64_t id, std::size_t max_frame_bytes,
+               std::shared_ptr<const WakePipe> wake)
+        : socket(std::move(sock)), id(id), decoder(max_frame_bytes), wake(std::move(wake)) {}
 
+    // Loop thread only.
     Socket socket;
     const std::uint64_t id;
     FrameDecoder decoder;
-
-    // guards inbox, submitted, outbox, flags below
-    util::DebugMutex mutex BLURNET_LOCK_CLASS("net::Server::connection");
-    util::DebugConditionVariable cv;  // submitter waits for inbox work / abandon
-    util::DebugConditionVariable harvest_cv;  // harvester waits for submitted work
-    std::deque<PendingRequest> inbox;   // decoded, not yet submitted
-    std::deque<PendingReply> submitted;  // submitted, awaiting harvest
     std::vector<std::uint8_t> outbox;  // encoded frames awaiting write
     std::size_t outbox_offset = 0;     // flushed prefix of outbox
-    bool input_closed = false;    // no further requests will be enqueued
-    bool close_after_flush = false;  // framing error: flush the error frame, then close
+    int in_flight = 0;                 // admitted classify requests not yet answered
+    bool input_closed = false;         // no further requests will be read
+    bool close_after_flush = false;    // framing error: flush the error frame, then close
 
-    std::atomic<bool> abandoned{false};   // submitter/harvester: drop pending work now
-    std::atomic<int> replies_in_flight{0};  // inbox + submitted + currently harvesting
-    std::atomic<bool> submitter_done{false};
-    std::atomic<bool> harvester_done{false};
-    std::thread submitter;
-    std::thread harvester;
+    // Shared with the engine completions of this connection's requests.
+    const std::shared_ptr<const WakePipe> wake;
+    util::DebugMutex mutex BLURNET_LOCK_CLASS("net::Server::connection");
+    std::vector<std::shared_ptr<Reply>> completed;  // guarded by mutex; not yet encoded
 
-    // Per-connection counters (atomic: loop + harvester both touch them).
+    // Per-connection counters (atomic: stats() reads them from caller threads).
     std::atomic<std::int64_t> frames_in{0};
     std::atomic<std::int64_t> requests{0};
     std::atomic<std::int64_t> responses{0};
@@ -178,53 +185,44 @@ class Server {
   void accept_ready();
   /// Read-ready connection: pull bytes, decode frames, dispatch. Returns
   /// false when the connection should be torn down (EOF/reset).
-  bool read_ready(Connection& conn);
+  bool read_ready(const std::shared_ptr<Connection>& conn);
   /// Flush as much outbox as the socket accepts. Returns false on write
   /// failure (peer gone).
   bool flush_outbox(Connection& conn);
-  void handle_frame(Connection& conn, const Frame& frame);
-  void handle_classify(Connection& conn, const Frame& frame, bool batch);
+  void handle_frame(const std::shared_ptr<Connection>& conn, const Frame& frame);
+  /// Decode and admit a classify request. Engine-side admission failures
+  /// become typed error frames (kOverload / kInvalidRequest / kInternal),
+  /// never a crash.
+  void handle_classify(const std::shared_ptr<Connection>& conn, const Frame& frame, bool batch);
+  /// Encode the replies whose images have all completed into the outbox.
+  void deliver_completed(Connection& conn);
   /// Queue an error frame on the connection (counts errors_sent + specific
   /// counters per code).
   void queue_error(Connection& conn, std::uint32_t request_id, ErrorCode code,
                    const std::string& message);
   void queue_frame(Connection& conn, Opcode opcode, std::uint32_t request_id,
                    const std::vector<std::uint8_t>& payload);
-  /// Per-connection submitter: pops decoded requests off the inbox and runs
-  /// engine submit() — off the event loop, so blocking admission (kBlock)
-  /// stalls only this connection. Engine-side failures become typed error
-  /// frames (kOverload / kInvalidRequest / kInternal), never a crash.
-  void submitter_loop(const std::shared_ptr<Connection>& conn);
-  void harvester_loop(const std::shared_ptr<Connection>& conn);
-  /// Abandon + close a connection and move it to the zombie list for joining.
+  /// Close a connection and drop it from the live set. Completions still in
+  /// the engine keep it alive until they have run.
   void retire(std::size_t index);
-  /// Signal the event loop (harvesters call this after queueing output).
-  void wake();
 
   serve::InferenceEngine& engine_;
   ServerConfig config_;
-  std::uint16_t port_ = 0;
-
   Socket listener_;
-  int wake_read_fd_ = -1;   // self-pipe: poll() wake-up
-  int wake_write_fd_ = -1;
+  std::uint16_t port_ = 0;
+  std::shared_ptr<const WakePipe> wake_;
 
   std::atomic<bool> draining_{false};
-  std::atomic<bool> loop_exited_{false};
 
-  std::thread loop_;
-  // Connections are owned by shared_ptrs handed to both the loop and the
-  // harvester; `connections_` (loop-only) holds the live set, `zombies_`
-  // (mutex-guarded) the retired ones awaiting a join.
-  // Lock hierarchy (outermost first): lifecycle -> roster -> connection ->
-  // zombies, with the engine's locks (shards -> queue) below any of them —
-  // stats() and the submitter threads call into the engine, nothing in the
-  // engine calls back into the server. Locks on one level are never nested
-  // (e.g. two connections' mutexes are never held together). Enforced in
-  // Debug builds by util::DebugMutex (src/util/lockdep.h).
-  std::vector<std::shared_ptr<Connection>> connections_;
-  mutable util::DebugMutex zombies_mutex_ BLURNET_LOCK_CLASS("net::Server::zombies");
-  std::vector<std::shared_ptr<Connection>> zombies_;
+  // Lock hierarchy (outermost first): lifecycle -> roster, with the engine's
+  // locks (shards -> queue) below both — stats() calls into the engine,
+  // nothing in the engine calls back into the server. The connection mutex
+  // is a leaf: the loop takes it to collect completed replies and engine
+  // completions take it (outside every engine lock) to store one; no other
+  // lock is ever acquired under it, and two connections' mutexes are never
+  // held together. Enforced in Debug builds by util::DebugMutex
+  // (src/util/lockdep.h).
+  std::vector<std::shared_ptr<Connection>> connections_;  // loop thread only
 
   // serializes stop() callers
   util::DebugMutex lifecycle_mutex_ BLURNET_LOCK_CLASS("net::Server::lifecycle");
@@ -249,6 +247,10 @@ class Server {
   // this mutex guards the snapshot the loop maintains for it.
   mutable util::DebugMutex roster_mutex_ BLURNET_LOCK_CLASS("net::Server::roster");
   std::vector<std::shared_ptr<Connection>> roster_;
+
+  // Declared last, so the constructor starts it only once every member the
+  // loop touches exists.
+  std::thread loop_;  // lint:allow(net-thread) the event loop, the server's only thread
 };
 
 }  // namespace blurnet::net

@@ -378,6 +378,20 @@ Tensor InferenceEngine::classify_logits(const Tensor& images, const Options& opt
 }
 
 std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
+  auto promise = std::make_shared<std::promise<Prediction>>();
+  std::future<Prediction> future = promise->get_future();
+  submit(std::move(image), std::move(options),
+         [promise](std::exception_ptr error, Prediction prediction) {
+           if (error) {
+             promise->set_exception(std::move(error));
+           } else {
+             promise->set_value(std::move(prediction));
+           }
+         });
+  return future;
+}
+
+void InferenceEngine::submit(Tensor image, Options options, Completion complete) {
   VariantShard& shard = require_shard(options.variant);
   const int cap = effective_max_batch(options, max_batch_, "InferenceEngine::submit");
   Tensor batch = as_batch(image, model_.config(), "InferenceEngine::submit");
@@ -390,8 +404,7 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
   // clone (a default-constructed member would cost a dead scalar allocation
   // per submit).
   Request request{batch.reshape(Shape{batch.dim(1), batch.dim(2), batch.dim(3)}).clone(),
-                  cap, {}, {}};
-  std::future<Prediction> future = request.promise.get_future();
+                  cap, {}, std::move(complete)};
   const auto capacity = static_cast<std::size_t>(queue_capacity_);
   {
     std::unique_lock<util::DebugMutex> lock(queue_mutex_);
@@ -453,7 +466,6 @@ std::future<Prediction> InferenceEngine::submit(Tensor image, Options options) {
                                 static_cast<std::int64_t>(shard.pending.size()));
   }
   shard.cv.notify_one();
-  return future;
 }
 
 void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
@@ -480,11 +492,14 @@ void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
     shard->space_cv.notify_all();
 
     const std::int64_t count = static_cast<std::int64_t>(coalesced.size());
+    std::vector<Prediction> predictions;
+    std::exception_ptr error;
     replica->begin_call();  // queued batches count toward the router's load
     {
       // The assembled batch tensor is transient: frame it in this worker's
       // request arena (run() opens its own nested frame) so steady-state
-      // submit traffic allocates nothing from the heap.
+      // submit traffic allocates nothing from the heap. The completions run
+      // after the frame closes, so nothing they allocate can land in it.
       util::ArenaScope frame(Replica::serving_arena());
       try {
         const Tensor& first = coalesced.front().image;
@@ -494,28 +509,28 @@ void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
           const Tensor& image = coalesced[static_cast<std::size_t>(i)].image;
           std::copy(image.data(), image.data() + stride, batch.data() + i * stride);
         }
-        // Stats are counted inside run(), before the promises resolve: a caller
-        // observing its future must see its batch reflected in stats().
-        std::vector<Prediction> predictions = replica->run(batch, cap, /*queued=*/true);
-        // Latency (enqueue→resolve) is recorded before the promises resolve
-        // for the same reason: a caller that has observed its future must
-        // find its request in the latency snapshot.
-        const auto now = std::chrono::steady_clock::now();
-        for (const auto& request : coalesced) {
-          shard->latency.record(
-              std::chrono::duration<double, std::micro>(now - request.enqueued).count());
-        }
-        for (std::int64_t i = 0; i < count; ++i) {
-          coalesced[static_cast<std::size_t>(i)].promise.set_value(
-              std::move(predictions[static_cast<std::size_t>(i)]));
-        }
+        // Stats are counted inside run(), before the requests complete: a
+        // caller observing its result must see its batch reflected in stats().
+        predictions = replica->run(batch, cap, /*queued=*/true);
       } catch (...) {
-        for (auto& request : coalesced) {
-          request.promise.set_exception(std::current_exception());
-        }
+        error = std::current_exception();
       }
     }
     replica->end_call();
+    if (!error) {
+      // Latency (enqueue→resolve) is recorded before the requests complete
+      // for the same reason: a caller that has observed its result must find
+      // its request in the latency snapshot.
+      const auto now = std::chrono::steady_clock::now();
+      for (const auto& request : coalesced) {
+        shard->latency.record(
+            std::chrono::duration<double, std::micro>(now - request.enqueued).count());
+      }
+    }
+    for (std::int64_t i = 0; i < count; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      coalesced[k].complete(error, error ? Prediction{} : std::move(predictions[k]));
+    }
   }
 }
 

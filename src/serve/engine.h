@@ -34,10 +34,11 @@
 //     image or an NCHW batch. One forward pass per max_batch slice. The
 //     router picks the least-loaded replica of the variant, so independent
 //     callers spread across replicas instead of queueing on one model.
-//   * submit(image, options): queue a single image and get a future. Each
-//     replica runs a worker that coalesces compatible queued requests (same
-//     variant) into one forward pass of up to max_batch images; with R
-//     replicas, R coalesced batches of a variant can be in flight at once.
+//   * submit(image, options[, completion]): queue a single image and get a
+//     future, or have a callback run when it is served. Each replica runs a
+//     worker that coalesces compatible queued requests (same variant) into
+//     one forward pass of up to max_batch images; with R replicas, R
+//     coalesced batches of a variant can be in flight at once.
 //     Queues are bounded (EngineConfig::queue_capacity): a full queue either
 //     rejects the submit with OverloadError or blocks the caller for
 //     backpressure, per EngineConfig::overload_policy, so overload degrades
@@ -57,6 +58,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -233,12 +236,10 @@ class InferenceEngine {
   /// True when the "defended" variant actually wraps a filter.
   bool defense_enabled() const { return defense_enabled_; }
 
-  /// The admission-control knobs the engine was built with. Front-ends that
-  /// call submit() from threads they must be able to join (e.g. the socket
-  /// server's per-connection submitters) validate against these: kBlock with
-  /// block_timeout_ms == 0 waits for queue space indefinitely.
+  /// The admission policy the engine was built with. Front-ends that submit
+  /// from an event loop (the socket server) require kReject: a kBlock
+  /// admission would stall the loop, and with it every other connection.
   OverloadPolicy overload_policy() const { return overload_policy_; }
-  int block_timeout_ms() const { return block_timeout_ms_; }
 
   /// Classify a CHW image or an NCHW batch through the named variant.
   /// Returns one Prediction per image, in input order. Thread-safe.
@@ -252,12 +253,26 @@ class InferenceEngine {
   tensor::Tensor classify_logits(const tensor::Tensor& images,
                                  const Options& options = {}) const;
 
+  /// Called once per admitted submit() with the request's outcome: `error` is
+  /// null on success, in which case `prediction` holds the result.
+  using Completion = std::function<void(std::exception_ptr error, Prediction prediction)>;
+
   /// Queue one CHW (or [1,C,H,W]) image for coalesced classification through
   /// the named variant. Replica workers are spawned lazily on the first call,
   /// so classify()-only engines never pay for them. The variant's queue is
   /// bounded by EngineConfig::queue_capacity: when full, kReject throws
   /// OverloadError immediately and kBlock waits for a slot (throwing
   /// OverloadError only if block_timeout_ms elapses first).
+  ///
+  /// The replica worker that serves the request runs `complete` exactly once,
+  /// after recording its latency and outside every engine lock, so the
+  /// callback may call back into the engine (e.g. stats()). It runs on the
+  /// worker thread, so it should be short, and it must not throw. When
+  /// submit() itself throws (overload, unknown variant, bad shape, shutdown)
+  /// the request was never admitted and `complete` is never run. Destroying
+  /// the engine drains its queues: every admitted request completes first.
+  void submit(tensor::Tensor image, Options options, Completion complete);
+  /// Future-returning form of the above, for callers that want to block.
   std::future<Prediction> submit(tensor::Tensor image, Options options = {});
 
   EngineStats stats() const;
@@ -273,7 +288,7 @@ class InferenceEngine {
     tensor::Tensor image;  // CHW
     int max_batch = 0;  // cap for the coalesced batch this request leads
     std::chrono::steady_clock::time_point enqueued;  // for the latency ring
-    std::promise<Prediction> promise;
+    Completion complete;
   };
 
   /// Samples each variant's latency ring holds. Large enough that a p999 over

@@ -5,7 +5,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <deque>
-#include <future>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -146,20 +146,40 @@ void LoadGenerator::build_schedule() {
 
 namespace {
 
-/// Completion-side state for one mix variant. The sender pushes futures in
-/// submission order; the harvester thread resolves them in that order and
-/// records completion − scheduled-arrival into a fixed ring.
-struct Harvest {
-  util::DebugMutex mutex BLURNET_LOCK_CLASS("serve::LoadGenerator::harvest");
-  util::DebugConditionVariable cv;
-  std::deque<std::pair<std::size_t, std::future<Prediction>>> inbox;
-  bool done = false;
-
+/// Completion-side tally for one mix variant: completion − scheduled-arrival
+/// samples in a fixed ring, plus outcome counters.
+struct Tally {
   std::vector<double> window;  // latency ring, microseconds
   std::int64_t count = 0;
   std::int64_t served = 0;
   std::int64_t failed = 0;
   Clock::time_point last_completion{};
+};
+
+void fill_snapshot(LatencySnapshot& snapshot, const std::vector<double>& window,
+                   std::int64_t count) {
+  snapshot.count = count;
+  snapshot.window = static_cast<std::int64_t>(window.size());
+  if (window.empty()) return;
+  double sum = 0.0, mx = window.front();
+  for (const double v : window) {
+    sum += v;
+    mx = std::max(mx, v);
+  }
+  snapshot.mean_us = sum / static_cast<double>(window.size());
+  snapshot.max_us = mx;
+  snapshot.p50_us = latency_quantile(window, 0.50);
+  snapshot.p99_us = latency_quantile(window, 0.99);
+  snapshot.p999_us = latency_quantile(window, 0.999);
+}
+
+/// Shared by run() and the engine completions of its requests, which record
+/// into it from the replica workers.
+struct RunState {
+  util::DebugMutex mutex BLURNET_LOCK_CLASS("serve::LoadGenerator::run");
+  util::DebugConditionVariable cv;  // signalled when `outstanding` hits zero
+  std::vector<Tally> tallies;       // one per mix variant
+  std::size_t outstanding = 0;      // admitted requests not yet completed
 };
 
 }  // namespace
@@ -174,82 +194,61 @@ LoadReport LoadGenerator::run(const tensor::Tensor& image) {
   }
 
   const auto reservoir = static_cast<std::size_t>(config_.reservoir);
-  std::vector<Harvest> harvests(mix_.size());
+  // Owned jointly with the completions, so an exception out of the sender
+  // cannot leave a completion recording into a dead frame.
+  auto state = std::make_shared<RunState>();
+  state->tallies.resize(mix_.size());
   std::vector<std::int64_t> rejected(mix_.size(), 0);
-
-  const Clock::time_point t0 = Clock::now();
-  std::vector<std::thread> harvesters;
-  harvesters.reserve(mix_.size());
-  for (std::size_t m = 0; m < mix_.size(); ++m) {
-    harvesters.emplace_back([this, &harvests, t0, reservoir, m] {
-      Harvest& h = harvests[m];
-      for (;;) {
-        std::pair<std::size_t, std::future<Prediction>> item;
-        {
-          std::unique_lock<util::DebugMutex> lock(h.mutex);
-          h.cv.wait(lock, [&] { return h.done || !h.inbox.empty(); });
-          if (h.inbox.empty()) return;  // done and drained
-          item = std::move(h.inbox.front());
-          h.inbox.pop_front();
-        }
-        bool ok = true;
-        try {
-          item.second.get();
-        } catch (...) {
-          ok = false;
-        }
-        const Clock::time_point now = Clock::now();
-        const double scheduled_s = offsets_[item.first];
-        const double latency_us =
-            std::chrono::duration<double, std::micro>(now - t0).count() -
-            scheduled_s * 1e6;
-        if (ok) {
-          if (h.window.size() < reservoir) {
-            h.window.push_back(latency_us);
-          } else {
-            h.window[static_cast<std::size_t>(h.count) % reservoir] = latency_us;
-          }
-          ++h.count;
-          ++h.served;
-        } else {
-          ++h.failed;
-        }
-        h.last_completion = now;
-      }
-    });
-  }
 
   // Open-loop sender: fire each request at its scheduled absolute time,
   // regardless of how far behind the engine is. A shed (OverloadError) is
-  // counted and never retried.
+  // counted and never retried. Each request is timed by its own completion.
+  const Clock::time_point t0 = Clock::now();
   for (std::size_t i = 0; i < offsets_.size(); ++i) {
     const std::size_t m = variants_[i];
-    std::this_thread::sleep_until(
+    const Clock::time_point scheduled =
         t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(offsets_[i])));
+                 std::chrono::duration<double>(offsets_[i]));
+    std::this_thread::sleep_until(scheduled);
     Options options;
     options.variant = mix_[m].variant;
     options.max_batch = config_.max_batch;
+    {
+      std::lock_guard<util::DebugMutex> lock(state->mutex);
+      ++state->outstanding;
+    }
     try {
-      std::future<Prediction> future = engine_.submit(image.clone(), std::move(options));
-      Harvest& h = harvests[m];
-      {
-        std::lock_guard<util::DebugMutex> lock(h.mutex);
-        h.inbox.emplace_back(i, std::move(future));
-      }
-      h.cv.notify_one();
+      engine_.submit(image.clone(), std::move(options),
+                     [state, m, scheduled, reservoir](std::exception_ptr error, Prediction) {
+                       const Clock::time_point now = Clock::now();
+                       std::lock_guard<util::DebugMutex> lock(state->mutex);
+                       Tally& t = state->tallies[m];
+                       if (error) {
+                         ++t.failed;
+                       } else {
+                         const double latency_us =
+                             std::chrono::duration<double, std::micro>(now - scheduled).count();
+                         if (t.window.size() < reservoir) {
+                           t.window.push_back(latency_us);
+                         } else {
+                           t.window[static_cast<std::size_t>(t.count) % reservoir] = latency_us;
+                         }
+                         ++t.count;
+                         ++t.served;
+                       }
+                       t.last_completion = now;
+                       if (--state->outstanding == 0) state->cv.notify_all();
+                     });
     } catch (const OverloadError&) {
       ++rejected[m];
+      std::lock_guard<util::DebugMutex> lock(state->mutex);
+      --state->outstanding;  // never admitted: no completion will run
     }
   }
-  for (auto& h : harvests) {
-    {
-      std::lock_guard<util::DebugMutex> lock(h.mutex);
-      h.done = true;
-    }
-    h.cv.notify_one();
+  {
+    std::unique_lock<util::DebugMutex> lock(state->mutex);
+    state->cv.wait(lock, [&] { return state->outstanding == 0; });
   }
-  for (auto& t : harvesters) t.join();
 
   LoadReport report;
   report.offered_rps = config_.offered_rps;
@@ -257,51 +256,25 @@ LoadReport LoadGenerator::run(const tensor::Tensor& image) {
   Clock::time_point end = Clock::now();
   std::vector<double> merged;
   for (std::size_t m = 0; m < mix_.size(); ++m) {
-    Harvest& h = harvests[m];
+    const Tally& t = state->tallies[m];
     VariantLoadStats vs;
     vs.variant = mix_[m].variant;
     for (const std::size_t idx : variants_) {
       if (idx == m) ++vs.offered;
     }
-    vs.served = h.served;
+    vs.served = t.served;
     vs.rejected = rejected[m];
-    vs.failed = h.failed;
-    vs.latency.count = h.count;
-    vs.latency.window = static_cast<std::int64_t>(h.window.size());
-    if (!h.window.empty()) {
-      double sum = 0.0, mx = h.window.front();
-      for (const double v : h.window) {
-        sum += v;
-        mx = std::max(mx, v);
-      }
-      vs.latency.mean_us = sum / static_cast<double>(h.window.size());
-      vs.latency.max_us = mx;
-      vs.latency.p50_us = latency_quantile(h.window, 0.50);
-      vs.latency.p99_us = latency_quantile(h.window, 0.99);
-      vs.latency.p999_us = latency_quantile(h.window, 0.999);
-    }
-    merged.insert(merged.end(), h.window.begin(), h.window.end());
+    vs.failed = t.failed;
+    fill_snapshot(vs.latency, t.window, t.count);
+    merged.insert(merged.end(), t.window.begin(), t.window.end());
     report.served += vs.served;
     report.rejected += vs.rejected;
     report.failed += vs.failed;
-    if (h.count > 0) end = std::max(end, h.last_completion);
+    if (t.count > 0) end = std::max(end, t.last_completion);
     report.variants.push_back(std::move(vs));
   }
   report.duration_s = std::chrono::duration<double>(end - t0).count();
-  report.latency.count = report.served;
-  report.latency.window = static_cast<std::int64_t>(merged.size());
-  if (!merged.empty()) {
-    double sum = 0.0, mx = merged.front();
-    for (const double v : merged) {
-      sum += v;
-      mx = std::max(mx, v);
-    }
-    report.latency.mean_us = sum / static_cast<double>(merged.size());
-    report.latency.max_us = mx;
-    report.latency.p50_us = latency_quantile(merged, 0.50);
-    report.latency.p99_us = latency_quantile(merged, 0.99);
-    report.latency.p999_us = latency_quantile(std::move(merged), 0.999);
-  }
+  fill_snapshot(report.latency, merged, report.served);
   if (report.duration_s > 0.0) {
     report.achieved_rps = static_cast<double>(report.served) / report.duration_s;
   }
@@ -327,23 +300,6 @@ struct SocketLane {
   bool done = false;
   std::vector<SocketRecord> records;  // harvester-local until the join
 };
-
-void fill_snapshot(LatencySnapshot& snapshot, const std::vector<double>& window,
-                   std::int64_t count) {
-  snapshot.count = count;
-  snapshot.window = static_cast<std::int64_t>(window.size());
-  if (window.empty()) return;
-  double sum = 0.0, mx = window.front();
-  for (const double v : window) {
-    sum += v;
-    mx = std::max(mx, v);
-  }
-  snapshot.mean_us = sum / static_cast<double>(window.size());
-  snapshot.max_us = mx;
-  snapshot.p50_us = latency_quantile(window, 0.50);
-  snapshot.p99_us = latency_quantile(window, 0.99);
-  snapshot.p999_us = latency_quantile(window, 0.999);
-}
 
 }  // namespace
 

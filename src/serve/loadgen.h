@@ -27,10 +27,9 @@
 //
 // Rejected submits (OverloadError under the engine's reject policy, or a
 // block-policy timeout) are counted per variant, never retried — an open-loop
-// shed is load the server refused, which is the datum. Completions are
-// harvested by one thread per mix variant, in submission order; a request
-// completing behind a slower earlier one is timed at the earlier one's
-// resolution (a small conservative bias, bounded by one coalesced batch).
+// shed is load the server refused, which is the datum. Each request is timed
+// by its own engine completion callback, so a request that overtakes a slower
+// earlier one (another replica's batch) is charged only its own latency.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +80,9 @@ struct LoadConfig {
 struct VariantLoadStats {
   std::string variant;
   std::int64_t offered = 0;   // requests the schedule routed here
-  std::int64_t served = 0;    // futures that resolved with a Prediction
+  std::int64_t served = 0;    // requests that completed with a Prediction
   std::int64_t rejected = 0;  // sheds: OverloadError at submit()
-  std::int64_t failed = 0;    // futures that resolved with an exception
+  std::int64_t failed = 0;    // requests that completed with an error
   LatencySnapshot latency;    // completion − scheduled arrival, microseconds
 };
 

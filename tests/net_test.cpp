@@ -6,12 +6,16 @@
 #include <condition_variable>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "src/defense/input_transform.h"
 #include "src/net/client.h"
@@ -496,51 +500,56 @@ TEST(Server, OverloadComesBackAsOverloadError) {
   server.stop();
 }
 
-TEST(Server, RejectsUnboundedBlockingEngine) {
-  serve::EngineConfig config = small_engine_config();
-  config.overload_policy = serve::OverloadPolicy::kBlock;
-  config.block_timeout_ms = 0;  // engine-legal, but a submitter could block forever
-  serve::InferenceEngine engine(config);
-  EXPECT_THROW(Server(engine, {}), std::invalid_argument);
+TEST(Server, RejectsBlockingEngine) {
+  // Admission runs on the event loop, so any kBlock engine is refused —
+  // bounded timeout or not, a blocking submit() would stall every connection.
+  for (const int timeout_ms : {0, 10000}) {
+    serve::EngineConfig config = small_engine_config();
+    config.overload_policy = serve::OverloadPolicy::kBlock;
+    config.block_timeout_ms = timeout_ms;
+    serve::InferenceEngine engine(config);
+    try {
+      Server server(engine, {});
+      FAIL() << "expected std::invalid_argument for kBlock, timeout " << timeout_ms;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("kBlock"), std::string::npos) << e.what();
+    }
+  }
 }
 
-TEST(Server, EventLoopStaysResponsiveWhileBlockAdmissionWaits) {
+TEST(Server, EventLoopStaysResponsiveWhileGatedRequestsAreHeld) {
   serve::EngineConfig config = small_engine_config();
   config.queue_capacity = 1;
-  config.overload_policy = serve::OverloadPolicy::kBlock;
-  config.block_timeout_ms = 10000;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_pipeline_variant("gated", gate);
   Server server(engine, {});
 
-  // Fill the gated variant: one request parked inside the gate, one in the
-  // single queue slot, and a third whose admission must wait for space.
-  Client blocked("127.0.0.1", server.port());
-  const auto batch = random_batch(3, 67);
+  // Fill the gated variant: one request parked inside the gate and one in
+  // the single queue slot, both held by the engine, not by the server.
+  Client held("127.0.0.1", server.port());
+  const auto batch = random_batch(2, 67);
   std::vector<std::uint32_t> ids;
-  ids.push_back(blocked.send_classify(single_image(batch, 0), "gated"));
+  ids.push_back(held.send_classify(single_image(batch, 0), "gated"));
   gate->wait_entered(1);
-  ids.push_back(blocked.send_classify(single_image(batch, 1), "gated"));
+  ids.push_back(held.send_classify(single_image(batch, 1), "gated"));
   while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
-  ids.push_back(blocked.send_classify(single_image(batch, 2), "gated"));
-  while (engine.variant_stats("gated").blocked < 1) std::this_thread::yield();
 
-  // The blocked submit() stalls only its own connection's submitter thread;
-  // the event loop must keep serving other connections meanwhile.
+  // Held requests occupy no server thread: the loop keeps serving other
+  // connections meanwhile.
   Client probe("127.0.0.1", server.port());
   const auto t0 = std::chrono::steady_clock::now();
   probe.ping();
   const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - t0);
-  EXPECT_LT(elapsed.count(), 2000) << "ping stalled behind a blocking admission";
+  EXPECT_LT(elapsed.count(), 2000) << "ping stalled behind held requests";
 
   gate->open();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    expect_bitwise_equal(blocked.receive_classify(ids[i]),
+    expect_bitwise_equal(held.receive_classify(ids[i]),
                          engine.classify(single_image(batch, static_cast<std::int64_t>(i)),
                                          serve::Options{"gated"})[0],
-                         "blocked-admission image " + std::to_string(i));
+                         "held image " + std::to_string(i));
   }
   server.stop();
 }
@@ -679,6 +688,95 @@ TEST(Server, StopTimeoutAbandonsStuckRequests) {
   EXPECT_THROW(client->receive_classify(stuck), SocketError);
   client.reset();
   gate->open();  // unwedge the engine worker so its destructor can join
+}
+
+TEST(Server, CompletionsAfterServerDestructionAreHarmless) {
+  // The engine outlives the server. Requests still inside it when ~Server
+  // runs — one parked in the gate, one queued behind it — complete afterwards
+  // against the retired connection and the wake pipe, which their completions
+  // keep alive. Clean under ASan and TSan.
+  serve::InferenceEngine engine(small_engine_config());
+  auto gate = std::make_shared<GateTransform>();
+  engine.register_pipeline_variant("gated", gate);
+  const auto batch = random_batch(3, 89);
+  {
+    ServerConfig config;
+    config.drain_timeout_ms = 50;
+    Server server(engine, config);
+    Client client("127.0.0.1", server.port());
+    client.send_classify(single_image(batch, 0), "gated");
+    gate->wait_entered(1);
+    client.send_classify(single_image(batch, 1), "gated");
+    while (engine.variant_stats("gated").queue_depth < 1) std::this_thread::yield();
+  }
+  gate->open();
+  // One replica serves its queue in order, so once this request resolves the
+  // two late completions have finished running.
+  const serve::Options options{"gated"};
+  expect_bitwise_equal(engine.submit(single_image(batch, 2), options).get(),
+                       engine.classify(single_image(batch, 2), options)[0],
+                       "served after the late completions");
+  EXPECT_EQ(engine.variant_stats("gated").latency.count, 3);
+}
+
+/// Thread count of this process.
+std::ptrdiff_t thread_count() {
+  return std::distance(std::filesystem::directory_iterator("/proc/self/task"),
+                       std::filesystem::directory_iterator{});
+}
+
+TEST(Server, SoakThousandsOfConnectionsAtAFixedThreadCount) {
+  constexpr int kConnections = 1000;
+  constexpr int kPipelined = 2;
+  // Both ends of every connection live in this process.
+  rlimit limit{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &limit), 0);
+  limit.rlim_cur = limit.rlim_max;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &limit), 0);
+  if (limit.rlim_cur != RLIM_INFINITY && limit.rlim_cur < 2 * kConnections + 64) {
+    GTEST_SKIP() << "RLIMIT_NOFILE hard limit " << limit.rlim_cur << " is below "
+                 << 2 * kConnections + 64 << " descriptors";
+  }
+
+  serve::EngineConfig engine_config = small_engine_config(2);
+  engine_config.queue_capacity = kConnections * kPipelined;  // shed nothing
+  serve::InferenceEngine engine(engine_config);
+  ServerConfig config;
+  config.backlog = kConnections;
+  Server server(engine, config);
+  const auto batch = random_batch(kPipelined, 97);
+  const auto expected = engine.classify(batch);
+
+  // Warm up on one connection: spawns the engine's replica workers and the
+  // thread pool, so everything after this is per-connection cost.
+  std::vector<std::unique_ptr<Client>> clients;
+  clients.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
+  clients.front()->classify(single_image(batch, 0));
+  const std::ptrdiff_t threads_one = thread_count();
+
+  while (clients.size() < static_cast<std::size_t>(kConnections)) {
+    clients.push_back(std::make_unique<Client>("127.0.0.1", server.port()));
+  }
+  std::vector<std::vector<std::uint32_t>> ids(clients.size());
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    for (int i = 0; i < kPipelined; ++i) {
+      ids[c].push_back(clients[c]->send_classify(single_image(batch, i)));
+    }
+  }
+  EXPECT_EQ(thread_count(), threads_one) << "threads grew with the connection count";
+
+  for (std::size_t c = 0; c < clients.size(); ++c) {
+    for (int i = 0; i < kPipelined; ++i) {
+      expect_bitwise_equal(clients[c]->receive_classify(ids[c][static_cast<std::size_t>(i)]),
+                           expected[static_cast<std::size_t>(i)],
+                           "connection " + std::to_string(c) + " image " + std::to_string(i));
+    }
+  }
+  EXPECT_EQ(thread_count(), threads_one);
+  EXPECT_EQ(server.stats().open_connections, kConnections);
+  EXPECT_EQ(engine.stats().requests, 1 + kConnections * kPipelined);
+  clients.clear();
+  server.stop();
 }
 
 TEST(Server, ValidatesConfig) {

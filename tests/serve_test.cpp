@@ -966,6 +966,133 @@ TEST(Engine, SubmitIsBitwiseDeterministicAcrossQueueCapacities) {
   }
 }
 
+// ---- completion callbacks ---------------------------------------------------
+
+/// Per-request record of completion calls, shared by a test and its callbacks.
+struct CompletionLog {
+  explicit CompletionLog(std::size_t n) : calls(n), results(n), errors(n) {}
+
+  InferenceEngine::Completion for_request(std::size_t i) {
+    return [this, i](std::exception_ptr error, Prediction prediction) {
+      std::lock_guard<std::mutex> lock(mutex);
+      ++calls[i];
+      errors[i] = std::move(error);
+      results[i] = std::move(prediction);
+    };
+  }
+
+  int total() {
+    std::lock_guard<std::mutex> lock(mutex);
+    int sum = 0;
+    for (const int c : calls) sum += c;
+    return sum;
+  }
+
+  std::mutex mutex;
+  std::vector<int> calls;
+  std::vector<Prediction> results;
+  std::vector<std::exception_ptr> errors;
+};
+
+TEST(Engine, CompletionRunsExactlyOncePerAdmittedRequest) {
+  const auto batch = random_batch(12, 101);
+  for (const int replicas : {1, 2}) {
+    CompletionLog log(static_cast<std::size_t>(batch.dim(0)));
+    std::vector<Prediction> expected;
+    {
+      InferenceEngine engine(small_engine_config(replicas));
+      expected = engine.classify(batch, Options{kDefendedVariant});
+      for (std::int64_t i = 0; i < batch.dim(0); ++i) {
+        engine.submit(single_image(batch, i), Options{kDefendedVariant},
+                      log.for_request(static_cast<std::size_t>(i)));
+      }
+    }  // ~InferenceEngine drains the queue and joins its workers
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const auto context = "replicas " + std::to_string(replicas) + " image " + std::to_string(i);
+      EXPECT_EQ(log.calls[i], 1) << context;
+      EXPECT_FALSE(log.errors[i]) << context;
+      expect_bitwise_equal(log.results[i], expected[i], context);
+    }
+  }
+}
+
+TEST(Engine, CompletionNeverRunsWhenSubmitThrows) {
+  CompletionLog log(5);  // outlives the engine and its workers
+  {
+    EngineConfig config = small_engine_config();
+    config.queue_capacity = 1;
+    config.overload_policy = OverloadPolicy::kReject;
+    InferenceEngine engine(config);
+    auto gate = std::make_shared<GateTransform>();
+    engine.register_pipeline_variant("gated", gate);
+    const auto batch = random_batch(3, 103);
+
+    engine.submit(single_image(batch, 0), Options{"gated"}, log.for_request(0));
+    gate->wait_entered(1);
+    engine.submit(single_image(batch, 1), Options{"gated"}, log.for_request(1));  // queue full
+    EXPECT_THROW(engine.submit(single_image(batch, 2), Options{"gated"}, log.for_request(2)),
+                 OverloadError);
+    EXPECT_THROW(engine.submit(single_image(batch, 2), Options{"nope"}, log.for_request(3)),
+                 std::invalid_argument);
+    EXPECT_THROW(engine.submit(batch, Options{}, log.for_request(4)), std::invalid_argument);
+    gate->open();
+  }  // ~InferenceEngine drains the queue and joins its workers
+  EXPECT_EQ(log.calls, (std::vector<int>{1, 1, 0, 0, 0}));
+}
+
+TEST(Engine, DestructionCompletesEveryQueuedRequest) {
+  const auto batch = random_batch(6, 107);
+  CompletionLog log(static_cast<std::size_t>(batch.dim(0)));
+  auto gate = std::make_shared<GateTransform>();
+  auto engine = std::make_unique<InferenceEngine>(small_engine_config());
+  engine->register_pipeline_variant("gated", gate);
+  const auto expected = engine->classify(batch);  // "gated" serves the base weights
+  Options options{"gated"};
+  options.max_batch = 1;  // the queue drains one request per batch
+  for (std::int64_t i = 0; i < batch.dim(0); ++i) {
+    engine->submit(single_image(batch, i), options, log.for_request(static_cast<std::size_t>(i)));
+  }
+  gate->wait_entered(1);  // the worker holds request 0; the rest are queued
+
+  // Destroy the engine while requests are still queued, then let the worker
+  // go: the destructor must drain the queue, completing every request.
+  std::thread destroyer([&] { engine.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  gate->open();
+  destroyer.join();
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(log.calls[i], 1) << "image " << i;
+    EXPECT_FALSE(log.errors[i]) << "image " << i;
+    expect_bitwise_equal(log.results[i], expected[i], "drained image " + std::to_string(i));
+  }
+}
+
+TEST(Engine, CompletionMayCallBackIntoTheEngine) {
+  // Completions run outside every engine lock: one that reads stats() must
+  // neither deadlock nor (in Debug) trip lockdep.
+  std::mutex mutex;  // declared first: outlives the engine's workers
+  std::condition_variable done;
+  std::vector<std::int64_t> seen;
+  InferenceEngine engine(small_engine_config(2));
+  const auto batch = random_batch(8, 109);
+  for (std::int64_t i = 0; i < batch.dim(0); ++i) {
+    engine.submit(single_image(batch, i), Options{}, [&](std::exception_ptr, Prediction) {
+      const EngineStats stats = engine.stats();
+      const VariantStats variant = engine.variant_stats(kBaseVariant);
+      std::lock_guard<std::mutex> lock(mutex);
+      seen.push_back(std::min(stats.requests, variant.latency.count));
+      done.notify_all();
+    });
+  }
+  std::unique_lock<std::mutex> lock(mutex);
+  ASSERT_TRUE(done.wait_for(lock, std::chrono::seconds(30), [&] {
+    return seen.size() == static_cast<std::size_t>(batch.dim(0));
+  }));
+  // Each completion already finds its own request in stats() and the
+  // latency ring.
+  for (const std::int64_t observed : seen) EXPECT_GE(observed, 1);
+}
+
 // ---- request arena: allocation-free steady state ----------------------------
 
 TEST(Engine, ArenaForwardPathMatchesUnscopedHeapPathBitwise) {
@@ -1198,6 +1325,67 @@ TEST(LoadGen, ReplayAccountsForEveryScheduledRequest) {
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, 50);
   EXPECT_EQ(stats.rejected, 0);
+}
+
+/// Holds only the first apply() until open(); every later call passes, so a
+/// later request can overtake the held one on another replica.
+class HoldFirstGate : public defense::InputTransform {
+ public:
+  HoldFirstGate() : InputTransform(defense::TransformSpec::none(), "hold-first") {}
+
+  tensor::Tensor apply(const tensor::Tensor& images) const override {
+    if (calls_.fetch_add(1) == 0) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      cv_.wait(lock, [&] { return open_; });
+    }
+    return images.clone();
+  }
+
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  mutable std::atomic<int> calls_{0};
+  mutable std::mutex mutex_;
+  mutable std::condition_variable cv_;
+  bool open_ = false;
+};
+
+TEST(LoadGen, OvertakingRequestIsTimedAtItsOwnCompletion) {
+  // Two replicas: request 0 is held on one while request 1, fired 100 ms
+  // later, is served by the other. Request 1 completes first and must be
+  // charged its own latency, not request 0's (no head-of-line timing bias).
+  InferenceEngine engine(small_engine_config(2));
+  auto gate = std::make_shared<HoldFirstGate>();
+  engine.register_pipeline_variant("held", gate);
+  LoadConfig config;
+  config.arrival = ArrivalProcess::kUniform;
+  config.offered_rps = 10.0;
+  config.requests = 2;
+  config.max_batch = 1;  // each request is its own batch
+  config.mix = {{"held", 1.0}};
+  LoadGenerator generator(engine, config);
+
+  constexpr auto kHold = std::chrono::milliseconds(400);
+  std::thread releaser([&] {
+    // Release request 0 only well after request 1 has completed.
+    while (engine.variant_stats("held").latency.count < 1) std::this_thread::yield();
+    std::this_thread::sleep_for(kHold);
+    gate->open();
+  });
+  const LoadReport report = generator.run(single_image(random_batch(1, 113), 0));
+  releaser.join();
+
+  ASSERT_EQ(report.served, 2);
+  const double hold_us = std::chrono::duration<double, std::micro>(kHold).count();
+  EXPECT_GE(report.latency.max_us, hold_us);  // request 0 waited out the hold
+  // With two samples the nearest-rank p50 is the smaller one: request 1's.
+  EXPECT_LT(report.latency.p50_us, hold_us / 2) << "request 1 was timed at request 0's completion";
 }
 
 }  // namespace

@@ -20,6 +20,11 @@ linters cannot express:
                       engine teardown).
   naked-new           no naked new/delete in src/serve + src/net — ownership
                       goes through containers and smart pointers.
+  net-thread          no `std::thread` in src/net: blurnetd runs one event
+                      loop and hands classify work to the engine's completion
+                      callbacks, so threads per connection cannot creep back.
+                      (The loop member in src/net/server.h carries the one
+                      allow marker.)
   simd-confinement    raw SIMD intrinsics (_mm*/vfmaq_* calls, immintrin.h /
                       arm_neon.h includes) live only in the per-ISA kernel
                       translation units (*_kernels_avx2.cpp, *_kernels_neon.cpp)
@@ -245,6 +250,13 @@ BANNED = [
         OWNERSHIP_DIRS,
         re.compile(r"(?<![\w:])delete(\s*\[\s*\])?\s+[A-Za-z_*(]"),
         "naked delete — ownership goes through smart pointers",
+    ),
+    (
+        "net-thread",
+        ["src/net"],
+        re.compile(r"\bstd::thread\b"),
+        "std::thread in src/net — the event loop is the server's only thread; "
+        "hand work to the engine and finish it in a completion callback",
     ),
     (
         "grad-mode",
@@ -477,6 +489,20 @@ SELF_TESTS = [
         "intrinsic-comment-mention-is-clean",
         "src/linalg/gemm.cpp",
         "// the avx2 TU accumulates with _mm256_fmadd_ps(a, b, c)\nvoid f();\n",
+        None,
+    ),
+    (
+        "net-per-connection-thread",
+        "src/net/server.cpp",
+        "void Server::accept_one(Socket s) {\n"
+        "  conn->harvester = std::thread([this, conn] { harvest(conn); });\n}\n",
+        "net-thread",
+    ),
+    (
+        "net-loop-thread-allowed",
+        "src/net/server.h",
+        "  std::thread loop_;  // lint:allow(net-thread) the event loop\n"
+        "  void wait() { std::this_thread::yield(); }\n",
         None,
     ),
     (
