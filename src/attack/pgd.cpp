@@ -50,7 +50,10 @@ void PgdConfig::validate() const {
 AttackResult pgd_attack(const VictimHandle& victim, const Tensor& images,
                         const std::vector<int>& labels, const PgdConfig& config) {
   config.validate();
-  const nn::LisaCnn& model = victim.gradient_model();
+  // Craft through a frozen view of the victim: the backward differentiates
+  // w.r.t. the input only, so no weight gradient is computed or written into
+  // the victim's parameters.
+  const nn::LisaCnn model = victim.gradient_model().frozen();
   if (images.rank() != 4) throw std::invalid_argument("pgd_attack: images must be NCHW");
   if (static_cast<std::int64_t>(labels.size()) != images.dim(0)) {
     throw std::invalid_argument("pgd_attack: label count mismatch");

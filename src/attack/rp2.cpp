@@ -58,7 +58,10 @@ void Rp2Config::validate() const {
 AttackResult rp2_attack(const VictimHandle& victim, const Tensor& images,
                         const Tensor& masks, const Rp2Config& config) {
   config.validate();
-  const nn::LisaCnn& model = victim.gradient_model();
+  // Craft through a frozen view of the victim: the backward differentiates
+  // w.r.t. the input only, so no weight gradient is computed or written into
+  // the victim's parameters.
+  const nn::LisaCnn model = victim.gradient_model().frozen();
   if (images.rank() != 4) throw std::invalid_argument("rp2_attack: images must be NCHW");
   const std::int64_t n = images.dim(0), c = images.dim(1);
   const int h = static_cast<int>(images.dim(2));

@@ -41,6 +41,12 @@ void require_scale_interval(const char* config_name, double min_scale, double ma
 /// (autograd::straight_through). The prediction side needs no special
 /// handling — the engine applies the transform server-side.
 ///
+/// The gradient side is read-only on the victim: rp2_attack and pgd_attack
+/// forward gradient_model().frozen(), so crafting differentiates w.r.t. the
+/// input only and never writes a gradient into the model's parameters.
+/// Several crafting lanes may therefore share one model (e.g. one engine
+/// replica) concurrently.
+///
 /// The handle is non-owning: the gradient model (and anything the predict /
 /// transform functions capture) must outlive it.
 class VictimHandle {

@@ -27,14 +27,16 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
 }
 
 // Per-thread scratch reused across convolution forwards (conv2d and the
-// depthwise kernel share the padded buffer sequentially). The padded input
-// and im2col matrix are the two big per-forward allocations; serving runs the
-// same shapes over and over, so keeping the buffers warm per thread removes
-// the allocator from the hot path. The GEMM pack panels live in matching
+// depthwise kernel share the padded buffer sequentially; the depthwise
+// backward pads its gradient into it too). The padded input and im2col
+// matrix are the two big per-forward allocations; serving runs the same
+// shapes over and over, so keeping the buffers warm per thread removes the
+// allocator from the hot path. The GEMM pack panels live in matching
 // per-thread scratch inside linalg::sgemm, so a no-grad forward is
-// allocation-free once a serving thread is warm. No backward reads the padded
-// buffer, so both modes pad here; a graph-building conv2d keeps its column
-// matrix in a Tensor instead, because the backward GEMMs read it later.
+// allocation-free once a serving thread is warm. No backward reads a forward's
+// padded buffer, so both modes pad here; a conv2d whose weight needs a
+// gradient keeps its column matrix in a Tensor instead, because the dW GEMMs
+// read it later.
 struct ConvScratch {
   std::vector<float> padded;
   std::vector<float> cols;
@@ -293,11 +295,14 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
     tensor::pad2d_into(x.value(), pad, pad, scratch.padded.data());
     padded = scratch.padded.data();
   }
-  // The column matrix is the one buffer a backward reads: a graph keeps it in
-  // a Tensor owned by the closure, a no-grad forward leaves it in scratch.
+  // The column matrix is the one buffer a backward reads, and only for the
+  // weight gradient: a graph whose weight needs a gradient keeps it in a
+  // Tensor owned by the closure; every other forward (no-grad, or a graph
+  // over frozen weights that differentiates w.r.t. x only) leaves it in
+  // scratch.
   std::optional<Tensor> kept_cols;
   float* cols = nullptr;
-  if (needs_graph({x, w, b})) {
+  if (needs_graph({w})) {
     cols = kept_cols.emplace(Shape{n, patch, oh * ow}).data();
   } else {
     scratch.cols.resize(static_cast<std::size_t>(n * patch * oh * ow));
@@ -435,29 +440,36 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
           w.node()->accumulate_grad(dw);
         }
         if (x.requires_grad()) {
-          Tensor dx(x.value().shape());
+          // Gather adjoint: dx is the gradient, zero-padded into scratch,
+          // correlated with the 180-degree-rotated kernel through the
+          // forward's tap rows (double accumulator, ascending rotated taps),
+          // so it is bitwise equal across kernel targets. The adjoint of a
+          // k/2 "same" pad pads k-1-k/2 rows above: an odd kernel reads the
+          // symmetric pad as is, an even one reads it one row and one column
+          // in. Padding terms are exact zeros for finite taps; a non-finite
+          // tap turns them into NaN, as in the forward.
+          const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
+          const std::int64_t skip = (2 * ph - (kh - 1)) * wp + (2 * pw - (kw - 1));
+          auto& scratch = conv_scratch();
+          scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
+          tensor::pad2d_into(g, ph, pw, scratch.padded.data());
+          const float* padded = scratch.padded.data();
+          Tensor rotated(w.value().shape());
           const float* wv = w.value().data();
+          for (std::int64_t ic = 0; ic < c; ++ic) {
+            const float* ker = wv + ic * kh * kw;
+            float* rot = rotated.data() + ic * kh * kw;
+            for (int i = 0; i < kh * kw; ++i) rot[i] = ker[kh * kw - 1 - i];
+          }
+          Tensor dx(x.value().shape());
+          const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
           util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
             for (std::int64_t p = p0; p < p1; ++p) {
-              const std::int64_t ic = p % c;
-              const float* ker = wv + ic * kh * kw;
-              const float* gp = g.data() + p * h * wdim;
+              const float* src = padded + p * hp * wp + skip;
+              const float* ker = rotated.data() + (p % c) * kh * kw;
               float* dst = dx.data() + p * h * wdim;
-              // Correlation adjoint: scatter each output grad through the kernel.
               for (std::int64_t y = 0; y < h; ++y) {
-                for (std::int64_t xx = 0; xx < wdim; ++xx) {
-                  const float gv = gp[y * wdim + xx];
-                  if (gv == 0.0f) continue;
-                  for (int fy = 0; fy < kh; ++fy) {
-                    const std::int64_t sy = y + fy - ph;
-                    if (sy < 0 || sy >= h) continue;
-                    for (int fx = 0; fx < kw; ++fx) {
-                      const std::int64_t sx = xx + fx - pw;
-                      if (sx < 0 || sx >= wdim) continue;
-                      dst[sy * wdim + sx] += ker[fy * kw + fx] * gv;
-                    }
-                  }
-                }
+                taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
               }
             }
           }, /*min_chunk=*/1);

@@ -13,8 +13,8 @@
 //     classify(images, Options{variant}) and run their crafting through the
 //     cross-victim SweepScheduler: every victim's per-target RP2 jobs are
 //     striped over that victim's replica slots (replica k's model handles the
-//     gradient side of its lane's targets, so no two concurrent crafting runs
-//     share autograd state), and *different victims' lanes run concurrently*
+//     gradient side of its lane's targets; crafting only reads it, through a
+//     frozen view), and *different victims' lanes run concurrently*
 //     — a multi-victim evaluation saturates every registered replica shard
 //     instead of sweeping victims one after another.
 //

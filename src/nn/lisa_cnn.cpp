@@ -151,6 +151,18 @@ std::vector<int> LisaCnn::predict(const Tensor& x) const {
   return tensor::argmax_rows(logits(x));
 }
 
+LisaCnn LisaCnn::frozen() const {
+  LisaCnn view = *this;
+  for (Variable* param : {&view.conv1_w_, &view.conv1_b_, &view.conv2_w_, &view.conv2_b_,
+                          &view.conv3_w_, &view.conv3_b_, &view.fc_w_, &view.fc_b_,
+                          &view.dw_weight_}) {
+    // Same storage under a non-grad leaf: a constant whose node lives on the
+    // heap, so the view may outlive a bound request arena.
+    if (param->defined()) *param = Variable::leaf(param->value(), /*requires_grad=*/false);
+  }
+  return view;
+}
+
 std::vector<Variable> LisaCnn::parameters() const {
   std::vector<Variable> params = {conv1_w_, conv1_b_, conv2_w_, conv2_b_,
                                   conv3_w_, conv3_b_, fc_w_,    fc_b_};

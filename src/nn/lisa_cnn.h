@@ -89,6 +89,15 @@ class LisaCnn {
   /// The learnable depthwise weights (undefined Variable if absent).
   autograd::Variable depthwise_weights() const { return dw_weight_; }
 
+  /// A frozen view: the same architecture over this model's current weight
+  /// storage (shared, not copied), every parameter held as a constant. Its
+  /// forward builds no parameter nodes, so a backward differentiates w.r.t.
+  /// the input only and never touches this model's gradients; logits and
+  /// input gradients are bitwise equal to the live model's. The attacks
+  /// craft through it. In-place weight updates (optimizer steps) show
+  /// through; rebinding ones (copy_weights_from, load) need a fresh view.
+  LisaCnn frozen() const;
+
   /// Copy all matching-name parameters from another model (used to transfer
   /// trained weights into a differently-filtered architecture, Table I).
   void copy_weights_from(const LisaCnn& other);

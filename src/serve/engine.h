@@ -220,9 +220,10 @@ class InferenceEngine {
   /// bitwise-identical clones).
   const nn::LisaCnn& variant(const std::string& name) const;
   /// The model served by replica `index` of the named variant. All replicas
-  /// are bitwise-identical, but each owns its parameters (and therefore its
-  /// autograd state), so gradient-side attack drivers can fan out across
-  /// replicas without sharing mutable state. Throws on a bad index.
+  /// are bitwise-identical and each owns its parameters; gradient-side
+  /// attack drivers fan out across them. Crafting only reads a replica's
+  /// weights (the attacks forward LisaCnn::frozen()), so concurrent drivers
+  /// may also share one. Throws on a bad index.
   const nn::LisaCnn& replica_model(const std::string& name, int index) const;
   int replica_count(const std::string& name) const;
   /// The named variant's preprocess stage; nullptr for plain variants (and

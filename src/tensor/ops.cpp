@@ -144,15 +144,6 @@ Tensor transpose2d(const Tensor& a) {
   return out;
 }
 
-Tensor pad2d(const Tensor& x, int pad_h, int pad_w) {
-  if (x.rank() != 4) throw std::invalid_argument("pad2d: expected NCHW");
-  if (pad_h == 0 && pad_w == 0) return x;
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor out(Shape::nchw(n, c, h + 2 * pad_h, w + 2 * pad_w));
-  pad2d_into(x, pad_h, pad_w, out.data());
-  return out;
-}
-
 void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out) {
   if (x.rank() != 4) throw std::invalid_argument("pad2d_into: expected NCHW");
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
@@ -192,17 +183,6 @@ Tensor unpad2d(const Tensor& x, int pad_h, int pad_w) {
 
 std::int64_t conv_out_size(std::int64_t in, int kernel, int stride) {
   return (in - kernel) / stride + 1;
-}
-
-Tensor im2col(const Tensor& x, int kh, int kw, int stride_h, int stride_w) {
-  if (x.rank() != 4) throw std::invalid_argument("im2col: expected NCHW");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  const std::int64_t oh = conv_out_size(h, kh, stride_h);
-  const std::int64_t ow = conv_out_size(w, kw, stride_w);
-  if (oh <= 0 || ow <= 0) throw std::invalid_argument("im2col: kernel larger than input");
-  Tensor out(Shape{n, c * kh * kw, oh * ow});
-  im2col_into(x.data(), n, c, h, w, kh, kw, stride_h, stride_w, out.data());
-  return out;
 }
 
 void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,

@@ -45,23 +45,17 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor transpose2d(const Tensor& a);
 
 // ---- convolution plumbing ---------------------------------------------------
-/// Zero-pad the spatial dims of an NCHW tensor.
-Tensor pad2d(const Tensor& x, int pad_h, int pad_w);
-/// Inverse of pad2d: accumulate interior region (used for gradients).
+/// Zero-pad the spatial dims of an NCHW tensor into a caller-owned buffer of
+/// n*c*(h+2*pad_h)*(w+2*pad_w) floats, so repeated passes reuse one
+/// allocation (the convolutions pad into per-thread scratch). Writes the
+/// entire padded buffer — zero border plus copied interior — in one pass, so
+/// reused scratch needs no pre-clearing.
+void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out);
+/// Inverse of pad2d_into: crop the interior region (used for gradients).
 Tensor unpad2d(const Tensor& x, int pad_h, int pad_w);
 
-/// im2col for an NCHW input (already padded). Output is
-/// [N, C*kh*kw, out_h*out_w] flattened to a rank-3 shape.
-Tensor im2col(const Tensor& x, int kh, int kw, int stride_h, int stride_w);
-
-/// Scratch-buffer variants used by the inference hot path: same layouts as
-/// pad2d / im2col but writing into caller-owned buffers (sized
-/// n*c*(h+2*pad_h)*(w+2*pad_w) and n*(c*kh*kw)*(out_h*out_w) respectively),
-/// so repeated forward passes reuse one allocation instead of mallocing per
-/// call. pad2d_into writes the entire padded buffer — zero border plus copied
-/// interior — in one pass, so reused scratch needs no pre-clearing.
-/// im2col_into reads a raw padded NCHW buffer of the given dims.
-void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out);
+/// im2col of a raw (already padded) NCHW buffer of the given dims into a
+/// caller-owned [n, c*kh*kw, out_h*out_w] buffer.
 void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
                  std::int64_t w, int kh, int kw, int stride_h, int stride_w, float* out);
 /// Adjoint of im2col: scatter columns back into an NCHW buffer of shape

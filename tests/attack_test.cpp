@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <thread>
 
 #include "src/attack/adaptive.h"
 #include "src/attack/eot.h"
@@ -623,6 +624,80 @@ TEST(Pgd, TargetedModeDrivesTowardTarget) {
     return acc;
   };
   EXPECT_GT(target_prob(result.adversarial), target_prob(stop_set.images));
+}
+
+// ---- crafting is read-only on the victim -------------------------------------
+
+// The paper's defended architecture at test size: a 5x5 box blur after L1.
+nn::LisaCnnConfig defended_tiny_config() {
+  nn::LisaCnnConfig config = blurnet::testing::tiny_model_config();
+  config.fixed_filter = {nn::FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  return config;
+}
+
+void expect_no_parameter_gradients(const nn::LisaCnn& model, const char* attack) {
+  for (const auto& [name, param] : model.named_parameters()) {
+    EXPECT_FALSE(param.has_grad()) << attack << " wrote a gradient into " << name;
+  }
+}
+
+TEST(Rp2, CraftingLeavesNoGradientOnVictimParameters) {
+  const auto stop_set = data::stop_sign_eval_set(2);
+  const auto sticker = sticker_mask(stop_set.masks);
+  for (const int poses : {1, 4}) {
+    const nn::LisaCnn model(defended_tiny_config());
+    // BPDA through a served input transform, straight-through in the backward.
+    const VictimHandle victim(model, nullptr, [](const tensor::Tensor& images) {
+      return tensor::clamp(images, 0.05f, 0.95f);
+    });
+    Rp2Config config;
+    config.iterations = 3;
+    config.target_class = 4;
+    config.eot_poses = poses;
+    const auto result = rp2_attack(victim, stop_set.images, sticker, config);
+    EXPECT_TRUE(std::isfinite(result.final_loss));
+    expect_no_parameter_gradients(model, poses == 1 ? "rp2 K=1" : "rp2 K=4");
+  }
+}
+
+TEST(Pgd, CraftingLeavesNoGradientOnVictimParameters) {
+  const auto stop_set = data::stop_sign_eval_set(2);
+  const std::vector<int> labels(2, 0);
+  for (const int poses : {1, 4}) {
+    nn::LisaCnnConfig config = defended_tiny_config();
+    config.learnable_depthwise_kernel = 3;
+    const nn::LisaCnn model(config);
+    const VictimHandle victim(model, nullptr, [](const tensor::Tensor& images) {
+      return tensor::clamp(images, 0.05f, 0.95f);
+    });
+    PgdConfig pgd;
+    pgd.steps = 3;
+    pgd.eot_poses = poses;
+    const auto result = pgd_attack(victim, stop_set.images, labels, pgd);
+    EXPECT_TRUE(std::isfinite(result.final_loss));
+    expect_no_parameter_gradients(model, poses == 1 ? "pgd K=1" : "pgd K=4");
+  }
+}
+
+// Two crafting lanes sharing one replica: each forwards its own frozen view,
+// so neither writes into the shared model and both reproduce a serial run.
+TEST(Rp2, ConcurrentCraftingOnOneSharedModelMatchesSerial) {
+  const nn::LisaCnn model(defended_tiny_config());
+  const auto stop_set = data::stop_sign_eval_set(2);
+  const auto sticker = sticker_mask(stop_set.masks);
+  Rp2Config config;
+  config.iterations = 4;
+  config.target_class = 3;
+  config.eot_poses = 2;
+  const AttackResult serial = rp2_attack(model, stop_set.images, sticker, config);
+  AttackResult first, second;
+  std::thread lane_a([&] { first = rp2_attack(model, stop_set.images, sticker, config); });
+  std::thread lane_b([&] { second = rp2_attack(model, stop_set.images, sticker, config); });
+  lane_a.join();
+  lane_b.join();
+  expect_results_bitwise_equal(first, serial);
+  expect_results_bitwise_equal(second, serial);
+  expect_no_parameter_gradients(model, "concurrent rp2");
 }
 
 }  // namespace

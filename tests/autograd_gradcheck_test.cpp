@@ -171,6 +171,21 @@ TEST(GradCheck, DepthwiseConvInputAndWeights) {
       w0);
 }
 
+TEST(GradCheck, DepthwiseEvenAndRectangularKernelInput) {
+  // Even kernels pad asymmetrically in the adjoint (one row/column fewer
+  // above/left); rectangular ones pad each axis differently.
+  util::Rng rng(32);
+  const Tensor x0 = Tensor::randn(Shape::nchw(1, 2, 5, 6), rng);
+  for (const Shape& kshape : {Shape{2, 4, 2}, Shape{2, 2, 3}, Shape{2, 3, 5}}) {
+    const Tensor w0 = Tensor::randn(kshape, rng, 0.0f, 0.4f);
+    expect_gradcheck(
+        [&](const Variable& x) {
+          return sum_squares(depthwise_conv2d_same(x, Variable::constant(w0), Variable()));
+        },
+        x0);
+  }
+}
+
 TEST(GradCheck, MaxPool) {
   // Distinct values avoid argmax ties under the probe.
   Tensor x0(Shape::nchw(1, 1, 4, 4));

@@ -280,15 +280,18 @@ Tensor naive_depthwise_same(const Tensor& x, const Tensor& w) {
   return out;
 }
 
+struct DepthwiseCase {
+  std::int64_t n, c, h, w;
+  std::int64_t kh, kw;
+};
+// Border-heavy: most (often all) output pixels have taps outside the plane.
+constexpr DepthwiseCase kDepthwiseBorderCases[] = {
+    {2, 3, 3, 7, 5, 5}, {1, 2, 1, 1, 3, 3}, {1, 2, 4, 2, 3, 5},
+    {2, 1, 6, 5, 4, 2}, {1, 3, 2, 3, 7, 7}, {1, 16, 9, 9, 5, 5}};
+
 TEST(Ops, DepthwiseBitwiseEqualsNaiveZeroPaddedReference) {
   util::Rng rng(31);
-  struct Case {
-    std::int64_t n, c, h, w;
-    std::int64_t kh, kw;
-  };
-  // Border-heavy: most (often all) output pixels have taps outside the plane.
-  for (const Case& k : {Case{2, 3, 3, 7, 5, 5}, Case{1, 2, 1, 1, 3, 3}, Case{1, 2, 4, 2, 3, 5},
-                        Case{2, 1, 6, 5, 4, 2}, Case{1, 3, 2, 3, 7, 7}, Case{1, 16, 9, 9, 5, 5}}) {
+  for (const DepthwiseCase& k : kDepthwiseBorderCases) {
     const Tensor xv = Tensor::randn(Shape::nchw(k.n, k.c, k.h, k.w), rng);
     const Tensor wv = Tensor::randn(Shape{k.c, k.kh, k.kw}, rng);
     const Tensor expected = naive_depthwise_same(xv, wv);
@@ -325,6 +328,80 @@ TEST(Ops, DepthwiseNonFiniteTapReachesBordersInBothModes) {
   }
   EXPECT_TRUE(std::isnan(graph.value()[0]));  // the top-left tap reads padding here
   EXPECT_TRUE(std::isnan(inference.value()[0]));
+}
+
+// The depthwise input gradient written out the slow way: the 180-degree
+// rotated kernel correlated with the zero-padded upstream gradient (every tap
+// read, out-of-bounds taps read 0), double accumulator, ascending rotated
+// taps. The adjoint of a k/2 "same" pad pads k-1-k/2 rows above and columns
+// to the left.
+Tensor naive_depthwise_input_grad(const Tensor& g, const Tensor& w) {
+  const std::int64_t n = g.dim(0), c = g.dim(1), h = g.dim(2), wd = g.dim(3);
+  const std::int64_t kh = w.dim(1), kw = w.dim(2);
+  const std::int64_t top = kh - 1 - kh / 2, left = kw - 1 - kw / 2;
+  Tensor dx(g.shape());
+  for (std::int64_t p = 0; p < n * c; ++p) {
+    const float* gp = g.data() + p * h * wd;
+    const float* ker = w.data() + (p % c) * kh * kw;
+    for (std::int64_t y = 0; y < h; ++y) {
+      for (std::int64_t xx = 0; xx < wd; ++xx) {
+        double acc = 0.0;
+        for (std::int64_t ry = 0; ry < kh; ++ry) {
+          for (std::int64_t rx = 0; rx < kw; ++rx) {
+            const float tap = ker[(kh - 1 - ry) * kw + (kw - 1 - rx)];
+            const std::int64_t sy = y + ry - top, sx = xx + rx - left;
+            const bool inside = sy >= 0 && sy < h && sx >= 0 && sx < wd;
+            acc += static_cast<double>(tap) * (inside ? gp[sy * wd + sx] : 0.0f);
+          }
+        }
+        dx[p * h * wd + y * wd + xx] = static_cast<float>(acc);
+      }
+    }
+  }
+  return dx;
+}
+
+// d(sum(y * g))/dx for y = depthwise_conv2d_same(x, w): the op's input
+// gradient for the upstream gradient g, exactly (1.0f * g == g).
+Tensor depthwise_input_grad(const Tensor& xv, const Variable& w, const Tensor& g) {
+  Variable x = Variable::leaf(xv.clone());
+  backward(sum(mul_const(depthwise_conv2d_same(x, w, Variable()), g)));
+  return x.grad().clone();
+}
+
+TEST(Ops, DepthwiseInputGradientBitwiseEqualsNaiveRotatedReference) {
+  util::Rng rng(33);
+  for (const DepthwiseCase& k : kDepthwiseBorderCases) {
+    const Tensor xv = Tensor::randn(Shape::nchw(k.n, k.c, k.h, k.w), rng);
+    const Tensor wv = Tensor::randn(Shape{k.c, k.kh, k.kw}, rng);
+    const Tensor g = Tensor::randn(xv.shape(), rng);
+    const Tensor expected = naive_depthwise_input_grad(g, wv);
+    // A frozen kernel (input gradient only) and a learnable one (both).
+    const Tensor frozen = depthwise_input_grad(xv, Variable::constant(wv), g);
+    const Tensor learnable = depthwise_input_grad(xv, Variable::leaf(wv.clone()), g);
+    for (std::int64_t i = 0; i < expected.numel(); ++i) {
+      ASSERT_EQ(frozen[i], expected[i]) << "kernel " << k.kh << "x" << k.kw << " on " << k.h
+                                        << "x" << k.w << ", elem " << i;
+      ASSERT_EQ(learnable[i], expected[i]) << "learnable kernel " << k.kh << "x" << k.kw
+                                           << " on " << k.h << "x" << k.w << ", elem " << i;
+    }
+  }
+}
+
+TEST(Ops, DepthwiseNonFiniteTapReachesInputGradientBorders) {
+  // The adjoint reads the zero-padded gradient, so an infinite tap poisons
+  // every input-gradient pixel, NaN where it meets the padding: the forward's
+  // rule, transposed.
+  const Tensor xv = Tensor::full(Shape::nchw(1, 1, 3, 3), 1.0f);
+  Tensor wv(Shape{1, 3, 3});
+  wv[0] = std::numeric_limits<float>::infinity();  // top-left tap
+  const Tensor g = Tensor::full(xv.shape(), 1.0f);
+  const Tensor dx = depthwise_input_grad(xv, Variable::constant(wv), g);
+  for (std::int64_t i = 0; i < dx.numel(); ++i) {
+    EXPECT_FALSE(std::isfinite(dx[i])) << "elem " << i;
+  }
+  // The top-left tap of x[2][2]'s adjoint window reads padding.
+  EXPECT_TRUE(std::isnan(dx[8]));
 }
 
 TEST(Ops, MaxPoolForward) {
@@ -596,6 +673,25 @@ TEST(KernelDispatch, DepthwiseInferenceBitwiseIdenticalAcrossTargets) {
           << util::kernel_target_name(target) << " elem " << i;
       ASSERT_EQ(graph.value()[i], scalar_out[static_cast<std::size_t>(i)])
           << util::kernel_target_name(target) << " graph elem " << i;
+    }
+  }
+}
+
+TEST(KernelDispatch, DepthwiseInputGradientBitwiseIdenticalAcrossTargets) {
+  util::Rng rng(93);
+  const Tensor xv = Tensor::randn(Shape::nchw(2, 3, 8, 21), rng);
+  const Tensor g = Tensor::randn(xv.shape(), rng);
+  for (const Shape& kshape : {Shape{3, 3, 3}, Shape{3, 5, 5}, Shape{3, 4, 2}}) {
+    const Tensor kernel = Tensor::randn(kshape, rng);
+    Tensor scalar_dx;
+    for (const auto target : blurnet::testing::available_kernel_targets()) {
+      blurnet::testing::ScopedKernelTarget scoped(target);
+      const Tensor dx = depthwise_input_grad(xv, Variable::constant(kernel), g);
+      if (target == util::KernelTarget::kScalar) scalar_dx = dx;
+      for (std::int64_t i = 0; i < dx.numel(); ++i) {
+        ASSERT_EQ(dx[i], scalar_dx[i]) << util::kernel_target_name(target) << " kernel "
+                                       << kshape.to_string() << " elem " << i;
+      }
     }
   }
 }

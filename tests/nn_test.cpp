@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <vector>
 
 #include "src/nn/init.h"
 #include "src/nn/lisa_cnn.h"
@@ -194,6 +196,90 @@ TEST(LisaCnn, PredictMatchesArgmaxOfLogits) {
       if (logits.at2(i, j) > logits.at2(i, best)) best = static_cast<int>(j);
     }
     EXPECT_EQ(preds[static_cast<std::size_t>(i)], best);
+  }
+}
+
+// The three crafting-relevant architectures: plain, the paper's fixed blur
+// after layer 1, and the learnable depthwise layer.
+std::vector<LisaCnnConfig> frozen_view_configs() {
+  LisaCnnConfig plain = tiny_config();
+  LisaCnnConfig blurred = tiny_config();
+  blurred.fixed_filter = {FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  LisaCnnConfig learnable = tiny_config();
+  learnable.learnable_depthwise_kernel = 3;
+  return {plain, blurred, learnable};
+}
+
+TEST(LisaCnn, FrozenViewMatchesLiveLogitsAndInputGradientsBitwise) {
+  util::Rng rng(21);
+  const Tensor xv = Tensor::randn(Shape::nchw(3, 3, 32, 32), rng);
+  const std::vector<int> labels = {1, 4, 7};
+  for (const LisaCnnConfig& config : frozen_view_configs()) {
+    const LisaCnn live(config);
+    const LisaCnn frozen = live.frozen();
+    Variable x_live = Variable::leaf(xv.clone());
+    Variable x_frozen = Variable::leaf(xv.clone());
+    const Variable logits_live = live.forward(x_live).logits;
+    const Variable logits_frozen = frozen.forward(x_frozen).logits;
+    autograd::backward(autograd::softmax_cross_entropy(logits_live, labels));
+    autograd::backward(autograd::softmax_cross_entropy(logits_frozen, labels));
+    for (std::int64_t i = 0; i < logits_live.value().numel(); ++i) {
+      ASSERT_EQ(logits_frozen.value()[i], logits_live.value()[i]) << "logit " << i;
+    }
+    for (std::int64_t i = 0; i < xv.numel(); ++i) {
+      ASSERT_EQ(x_frozen.grad()[i], x_live.grad()[i]) << "d(loss)/d(input) elem " << i;
+    }
+  }
+}
+
+TEST(LisaCnn, FrozenViewSharesWeightStorage) {
+  for (const LisaCnnConfig& config : frozen_view_configs()) {
+    LisaCnn live(config);
+    const LisaCnn frozen = live.frozen();
+    const auto live_params = live.named_parameters();
+    const auto frozen_params = frozen.named_parameters();
+    ASSERT_EQ(frozen_params.size(), live_params.size());
+    for (std::size_t i = 0; i < live_params.size(); ++i) {
+      EXPECT_EQ(frozen_params[i].first, live_params[i].first);
+      EXPECT_EQ(frozen_params[i].second.value().data(), live_params[i].second.value().data())
+          << live_params[i].first;
+      EXPECT_FALSE(frozen_params[i].second.requires_grad()) << live_params[i].first;
+      EXPECT_TRUE(live_params[i].second.requires_grad()) << live_params[i].first;
+    }
+    // An in-place update (what an optimizer step does) shows through the view.
+    live.parameters()[0].mutable_value().data()[0] += 1.0f;
+    EXPECT_EQ(frozen.parameters()[0].value()[0], live.parameters()[0].value()[0]);
+  }
+}
+
+TEST(LisaCnn, FrozenForwardBuildsNoParameterNodes) {
+  util::Rng rng(22);
+  for (const LisaCnnConfig& config : frozen_view_configs()) {
+    const LisaCnn live(config);
+    Variable x = Variable::leaf(Tensor::randn(Shape::nchw(2, 3, 32, 32), rng));
+    const Variable loss =
+        autograd::softmax_cross_entropy(live.frozen().forward(x).logits, {0, 5});
+    // Walk the whole graph: the input must be the only grad-requiring leaf.
+    std::vector<autograd::NodePtr> stack = {loss.node()};
+    std::vector<const autograd::Node*> seen;
+    int grad_leaves = 0;
+    while (!stack.empty()) {
+      const autograd::NodePtr node = stack.back();
+      stack.pop_back();
+      if (std::find(seen.begin(), seen.end(), node.get()) != seen.end()) continue;
+      seen.push_back(node.get());
+      if (node->parents().empty()) {
+        if (node->requires_grad()) {
+          ++grad_leaves;
+          EXPECT_EQ(node, x.node()) << "a parameter node reached the graph";
+        }
+      }
+      for (const autograd::NodePtr& parent : node->parents()) stack.push_back(parent);
+    }
+    EXPECT_EQ(grad_leaves, 1);
+    autograd::backward(loss);
+    EXPECT_TRUE(x.has_grad());
+    for (const Variable& param : live.parameters()) EXPECT_FALSE(param.has_grad());
   }
 }
 

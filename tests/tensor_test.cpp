@@ -119,12 +119,22 @@ TEST(TensorOps, MatmulVariantsAgree) {
   }
 }
 
+// im2col of a whole (already padded) NCHW tensor into a fresh column tensor.
+Tensor im2col_of(const Tensor& x, int kernel, int stride) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  Tensor cols(Shape{n, c * kernel * kernel,
+                    conv_out_size(h, kernel, stride) * conv_out_size(w, kernel, stride)});
+  im2col_into(x.data(), n, c, h, w, kernel, kernel, stride, stride, cols.data());
+  return cols;
+}
+
 TEST(TensorOps, PadUnpadRoundTrip) {
   util::Rng rng(5);
   const Tensor x = Tensor::randn(Shape::nchw(2, 3, 4, 5), rng);
-  const Tensor padded = pad2d(x, 2, 1);
-  EXPECT_EQ(padded.dim(2), 8);
-  EXPECT_EQ(padded.dim(3), 7);
+  Tensor padded(Shape::nchw(2, 3, 8, 7));
+  // Stale scratch contents must not survive: pad2d_into writes every float.
+  padded.fill(7.0f);
+  pad2d_into(x, 2, 1, padded.data());
   EXPECT_FLOAT_EQ(padded.at4(0, 0, 0, 0), 0.0f);
   const Tensor back = unpad2d(padded, 2, 1);
   for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(back[i], x[i]);
@@ -133,7 +143,7 @@ TEST(TensorOps, PadUnpadRoundTrip) {
 TEST(TensorOps, Im2ColKnownValues) {
   // 1x1x3x3 image, 2x2 kernel, stride 1 -> 4 patches of 4 values.
   Tensor x(Shape::nchw(1, 1, 3, 3), {0, 1, 2, 3, 4, 5, 6, 7, 8});
-  const Tensor cols = im2col(x, 2, 2, 1, 1);
+  const Tensor cols = im2col_of(x, 2, 1);
   EXPECT_EQ(cols.shape(), (Shape{1, 4, 4}));
   // First row of cols = top-left value of each patch: 0,1,3,4.
   EXPECT_FLOAT_EQ(cols[0], 0.0f);
@@ -147,7 +157,7 @@ TEST(TensorOps, Col2ImIsAdjointOfIm2Col) {
   // the conv2d backward pass relies on.
   util::Rng rng(7);
   const Tensor x = Tensor::randn(Shape::nchw(2, 3, 6, 6), rng);
-  const Tensor cols = im2col(x, 3, 3, 2, 2);
+  const Tensor cols = im2col_of(x, 3, 2);
   const Tensor y = Tensor::randn(cols.shape(), rng);
   const Tensor x_back = col2im(y, 2, 3, 6, 6, 3, 3, 2, 2);
   EXPECT_NEAR(dot(cols, y), dot(x, x_back), 1e-3);
@@ -218,7 +228,7 @@ TEST_P(Im2ColAdjoint, HoldsForAllConfigs) {
   const auto [kernel, stride] = GetParam();
   util::Rng rng(100 + kernel * 10 + stride);
   const Tensor x = Tensor::randn(Shape::nchw(1, 2, 9, 9), rng);
-  const Tensor cols = im2col(x, kernel, kernel, stride, stride);
+  const Tensor cols = im2col_of(x, kernel, stride);
   const Tensor y = Tensor::randn(cols.shape(), rng);
   const Tensor x_back = col2im(y, 1, 2, 9, 9, kernel, kernel, stride, stride);
   EXPECT_NEAR(dot(cols, y), dot(x, x_back), 1e-3);
