@@ -357,6 +357,8 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
 
+// Items/s at batch 1, 16 and 64: the per-image cost of the batched forward
+// should not rise with the batch.
 void BM_LisaCnnInference(benchmark::State& state) {
   nn::LisaCnnConfig config;
   config.conv1_filters = 8;
@@ -369,7 +371,7 @@ void BM_LisaCnnInference(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_LisaCnnInference)->Arg(1)->Arg(16);
+BENCHMARK(BM_LisaCnnInference)->Arg(1)->Arg(16)->Arg(64);
 
 serve::EngineConfig bench_engine_config() {
   serve::EngineConfig config;

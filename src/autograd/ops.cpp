@@ -26,17 +26,17 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
   }
 }
 
-// Per-thread scratch reused across convolution forwards (conv2d and the
-// depthwise kernel share the padded buffer sequentially; the depthwise
-// backward pads its gradient into it too). The padded input and im2col
-// matrix are the two big per-forward allocations; serving runs the same
-// shapes over and over, so keeping the buffers warm per thread removes the
-// allocator from the hot path. The GEMM pack panels live in matching
-// per-thread scratch inside linalg::sgemm, so a no-grad forward is
-// allocation-free once a serving thread is warm. No backward reads a forward's
-// padded buffer, so both modes pad here; a conv2d whose weight needs a
-// gradient keeps its column matrix in a Tensor instead, because the dW GEMMs
-// read it later.
+// Per-thread scratch for one image (or one plane) at a time. A batched
+// convolution runs one parallel iteration per image: the iteration pads that
+// image into `padded`, im2cols it into `cols`, runs the GEMM and applies the
+// epilogue while the image's buffers are still in cache (about 0.3-0.4 MB for
+// the paper model's conv1/conv2). The depthwise forward and its adjoint pad
+// one plane at a time into `padded`, and conv2d's input-gradient backward
+// computes each image's column gradient into `cols`. The buffers only grow, so
+// a warm thread allocates nothing here; the GEMM pack panels live in matching
+// per-thread scratch inside linalg::sgemm. No backward reads a forward's
+// scratch: a conv2d whose weight needs a gradient writes its column matrix
+// into a closure-owned Tensor instead, because the dW GEMMs read it later.
 struct ConvScratch {
   std::vector<float> padded;
   std::vector<float> cols;
@@ -45,6 +45,14 @@ struct ConvScratch {
 ConvScratch& conv_scratch() {
   thread_local ConvScratch scratch;
   return scratch;
+}
+
+/// At least `size` floats of `buffer`; grows it, never shrinks or clears it.
+float* scratch_floats(std::vector<float>& buffer, std::int64_t size) {
+  if (buffer.size() < static_cast<std::size_t>(size)) {
+    buffer.resize(static_cast<std::size_t>(size));
+  }
+  return buffer.data();
 }
 
 }  // namespace
@@ -267,8 +275,11 @@ Variable dense(const Variable& x, const Variable& w, const Variable& b) {
 
 // ---- convolutions -----------------------------------------------------------
 
-Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int stride,
-                int pad) {
+namespace {
+
+// conv2d and conv2d_relu: one implementation, the ReLU an epilogue flag.
+Variable conv2d_impl(const char* name, const Variable& x, const Variable& w,
+                     const Variable& b, int stride, int pad, bool relu) {
   if (x.shape().rank() != 4 || w.shape().rank() != 4) {
     throw std::invalid_argument("conv2d: x must be NCHW, w must be [F,C,kh,kw]");
   }
@@ -287,59 +298,67 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
   const std::int64_t ow = tensor::conv_out_size(wp, kw, stride);
   const std::int64_t patch = c * kh * kw;
   if (oh <= 0 || ow <= 0) throw std::invalid_argument("conv2d: kernel larger than input");
+  const std::int64_t ohw = oh * ow;
 
-  auto& scratch = conv_scratch();
-  const float* padded = x.value().data();
-  if (pad > 0) {
-    scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-    tensor::pad2d_into(x.value(), pad, pad, scratch.padded.data());
-    padded = scratch.padded.data();
-  }
   // The column matrix is the one buffer a backward reads, and only for the
-  // weight gradient: a graph whose weight needs a gradient keeps it in a
-  // Tensor owned by the closure; every other forward (no-grad, or a graph
-  // over frozen weights that differentiates w.r.t. x only) leaves it in
-  // scratch.
+  // weight gradient: a graph whose weight needs a gradient keeps every
+  // image's columns in a Tensor owned by the closure; every other forward
+  // (no-grad, or a graph over frozen weights that differentiates w.r.t. x
+  // only) im2cols each image into per-thread scratch.
   std::optional<Tensor> kept_cols;
-  float* cols = nullptr;
-  if (needs_graph({w})) {
-    cols = kept_cols.emplace(Shape{n, patch, oh * ow}).data();
-  } else {
-    scratch.cols.resize(static_cast<std::size_t>(n * patch * oh * ow));
-    cols = scratch.cols.data();
-  }
-  tensor::im2col_into(padded, n, c, hp, wp, kh, kw, stride, stride, cols);
+  if (needs_graph({w})) kept_cols.emplace(Shape{n, patch, ohw});
 
   Tensor out(Shape::nchw(n, f, oh, ow));
+  const float* xdata = x.value().data();
   const float* wdata = w.value().data();
+  const float* bias = b.defined() ? b.value().data() : nullptr;
   util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
+    auto& scratch = conv_scratch();
     for (std::int64_t in = n0; in < n1; ++in) {
-      linalg::sgemm_nn(f, oh * ow, patch, wdata, cols + in * patch * oh * ow,
-                       out.data() + in * f * oh * ow, /*accumulate=*/false);
+      const float* image = xdata + in * c * h * wdim;
+      if (pad > 0) {
+        float* padded = scratch_floats(scratch.padded, c * hp * wp);
+        tensor::pad2d_into(image, c, h, wdim, pad, pad, padded);
+        image = padded;
+      }
+      float* cols = kept_cols ? kept_cols->data() + in * patch * ohw
+                              : scratch_floats(scratch.cols, patch * ohw);
+      tensor::im2col_into(image, c, hp, wp, kh, kw, stride, cols);
+      float* o = out.data() + in * f * ohw;
+      linalg::sgemm_nn(f, ohw, patch, wdata, cols, o, /*accumulate=*/false);
+      // Epilogue on the still-hot output: the bias after the full k sum,
+      // then x > 0 ? x : 0 — the arithmetic of a separate bias pass and
+      // relu(), so the fused op is bitwise relu(conv2d(...)).
+      for (std::int64_t ic = 0; ic < f; ++ic) {
+        float* plane = o + ic * ohw;
+        if (bias != nullptr) {
+          for (std::int64_t i = 0; i < ohw; ++i) plane[i] += bias[ic];
+        }
+        if (relu) {
+          for (std::int64_t i = 0; i < ohw; ++i) plane[i] = plane[i] > 0 ? plane[i] : 0.0f;
+        }
+      }
     }
   }, /*min_chunk=*/1);
-  if (b.defined()) {
-    const float* bias = b.value().data();
-    for (std::int64_t in = 0; in < n; ++in)
-      for (std::int64_t ic = 0; ic < f; ++ic) {
-        float* plane = out.data() + (in * f + ic) * oh * ow;
-        for (std::int64_t i = 0; i < oh * ow; ++i) plane[i] += bias[ic];
-      }
-  }
 
   return make_op(
-      "conv2d", std::move(out), {x, w, b},
-      [x, w, b, cols = std::move(kept_cols), n, c, f, kh, kw, stride, pad, hp, wp, oh, ow,
-       patch](Node& node) mutable {
-        const Tensor& g = node.grad();  // [n, f, oh, ow]
+      name, std::move(out), {x, w, b},
+      [x, w, b, cols = std::move(kept_cols), n, c, f, h, wdim, kh, kw, stride, pad, patch, ohw,
+       relu](Node& node) mutable {
+        // out > 0 exactly where the pre-activation is > 0, so this is the
+        // product relu's backward forms. (relu then hands conv2d 0 + g*mask;
+        // the sign of a zero never reaches dx, dW or db, whose sums all
+        // start from +0.)
+        std::optional<Tensor> masked;
+        if (relu) masked = tensor::mul(node.grad(), tensor::relu_mask(node.value()));
+        const Tensor& g = relu ? *masked : node.grad();  // [n, f, oh, ow]
         if (w.requires_grad()) {
           // dW[f, patch] accumulates G_in * Cols_in^T across the batch.
           Tensor dw(w.value().shape());
           float* dwp = dw.data();
           for (std::int64_t in = 0; in < n; ++in) {
-            linalg::sgemm_nt(f, patch, oh * ow, g.data() + in * f * oh * ow,
-                             cols->data() + in * patch * oh * ow, dwp,
-                             /*accumulate=*/true);
+            linalg::sgemm_nt(f, patch, ohw, g.data() + in * f * ohw,
+                             cols->data() + in * patch * ohw, dwp, /*accumulate=*/true);
           }
           w.node()->accumulate_grad(dw);
         }
@@ -347,21 +366,35 @@ Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int str
           b.node()->accumulate_grad(tensor::reduce_nhw(g));
         }
         if (x.requires_grad()) {
-          Tensor dcols(Shape{n, patch, oh * ow});
+          // Per image: dCols[patch, oh*ow] = W^T * G_in (W stored [f, patch])
+          // into per-thread scratch, then scattered straight into that
+          // image's dx, dropping the taps that fell in the padding.
+          Tensor dx(x.value().shape());
           const float* wdata2 = w.value().data();
           util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
+            float* dcols = scratch_floats(conv_scratch().cols, patch * ohw);
             for (std::int64_t in = n0; in < n1; ++in) {
-              // dCols_in[patch, oh*ow] = W^T * G_in, W stored [f, patch].
-              linalg::sgemm_tn(patch, oh * ow, f, wdata2,
-                               g.data() + in * f * oh * ow,
-                               dcols.data() + in * patch * oh * ow,
+              linalg::sgemm_tn(patch, ohw, f, wdata2, g.data() + in * f * ohw, dcols,
                                /*accumulate=*/false);
+              tensor::col2im_add(dcols, c, h, wdim, kh, kw, stride, pad,
+                                 dx.data() + in * c * h * wdim);
             }
           }, /*min_chunk=*/1);
-          Tensor dxp = tensor::col2im(dcols, n, c, hp, wp, kh, kw, stride, stride);
-          x.node()->accumulate_grad(tensor::unpad2d(dxp, pad, pad));
+          x.node()->accumulate_grad(dx);
         }
       });
+}
+
+}  // namespace
+
+Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int stride,
+                int pad) {
+  return conv2d_impl("conv2d", x, w, b, stride, pad, /*relu=*/false);
+}
+
+Variable conv2d_relu(const Variable& x, const Variable& w, const Variable& b, int stride,
+                     int pad) {
+  return conv2d_impl("conv2d_relu", x, w, b, stride, pad, /*relu=*/true);
 }
 
 Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Variable& b) {
@@ -378,33 +411,34 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
   const int kw = static_cast<int>(w.shape()[2]);
   const int ph = kh / 2, pw = kw / 2;
 
-  // Pad the input into per-thread scratch once so the tap loops need no
-  // border checks. The padding contributes exact ±0.0 terms for finite
-  // kernel taps, which leave every partial sum bitwise unchanged; a
-  // non-finite tap turns its border terms into NaN.
+  // Each plane is padded into per-thread scratch inside the parallel loop,
+  // so the tap loops need no border checks. The padding contributes exact
+  // ±0.0 terms for finite kernel taps, which leave every partial sum bitwise
+  // unchanged; a non-finite tap turns its border terms into NaN.
   const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
-  auto& scratch = conv_scratch();
-  scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-  tensor::pad2d_into(x.value(), ph, pw, scratch.padded.data());
-  const float* padded = scratch.padded.data();
   Tensor out(x.shape());
+  const float* xv = x.value().data();
   const float* wv = w.value().data();
+  const float* bias = b.defined() ? b.value().data() : nullptr;
   // The per-row tap loop is kernel-dispatched; every target keeps the double
   // accumulator and ascending (fy, fx) tap order, so results are bitwise
   // identical across targets.
   const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
   util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
+    float* padded = scratch_floats(conv_scratch().padded, hp * wp);
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t ic = p % c;
-      const float* src = padded + p * hp * wp;
+      tensor::pad2d_into(xv + p * h * wdim, 1, h, wdim, ph, pw, padded);
       const float* ker = wv + ic * kh * kw;
       float* dst = out.data() + p * h * wdim;
       for (std::int64_t y = 0; y < h; ++y) {
-        taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
+        taps(padded + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
+      }
+      if (bias != nullptr) {
+        for (std::int64_t i = 0; i < h * wdim; ++i) dst[i] += bias[ic];
       }
     }
   }, /*min_chunk=*/1);
-  if (b.defined()) out = tensor::broadcast_bias_nchw(out, b.value());
 
   return make_op(
       "depthwise_conv2d", std::move(out), {x, w, b},
@@ -440,20 +474,17 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
           w.node()->accumulate_grad(dw);
         }
         if (x.requires_grad()) {
-          // Gather adjoint: dx is the gradient, zero-padded into scratch,
-          // correlated with the 180-degree-rotated kernel through the
-          // forward's tap rows (double accumulator, ascending rotated taps),
-          // so it is bitwise equal across kernel targets. The adjoint of a
-          // k/2 "same" pad pads k-1-k/2 rows above: an odd kernel reads the
-          // symmetric pad as is, an even one reads it one row and one column
-          // in. Padding terms are exact zeros for finite taps; a non-finite
-          // tap turns them into NaN, as in the forward.
+          // Gather adjoint: dx is the gradient, each plane zero-padded into
+          // scratch inside the parallel loop, correlated with the
+          // 180-degree-rotated kernel through the forward's tap rows (double
+          // accumulator, ascending rotated taps), so it is bitwise equal
+          // across kernel targets. The adjoint of a k/2 "same" pad pads
+          // k-1-k/2 rows above: an odd kernel reads the symmetric pad as is,
+          // an even one reads it one row and one column in. Padding terms are
+          // exact zeros for finite taps; a non-finite tap turns them into
+          // NaN, as in the forward.
           const std::int64_t hp = h + 2 * ph, wp = wdim + 2 * pw;
           const std::int64_t skip = (2 * ph - (kh - 1)) * wp + (2 * pw - (kw - 1));
-          auto& scratch = conv_scratch();
-          scratch.padded.resize(static_cast<std::size_t>(n * c * hp * wp));
-          tensor::pad2d_into(g, ph, pw, scratch.padded.data());
-          const float* padded = scratch.padded.data();
           Tensor rotated(w.value().shape());
           const float* wv = w.value().data();
           for (std::int64_t ic = 0; ic < c; ++ic) {
@@ -464,8 +495,10 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
           Tensor dx(x.value().shape());
           const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
           util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
+            float* padded = scratch_floats(conv_scratch().padded, hp * wp);
             for (std::int64_t p = p0; p < p1; ++p) {
-              const float* src = padded + p * hp * wp + skip;
+              tensor::pad2d_into(g.data() + p * h * wdim, 1, h, wdim, ph, pw, padded);
+              const float* src = padded + skip;
               const float* ker = rotated.data() + (p % c) * kh * kw;
               float* dst = dx.data() + p * h * wdim;
               for (std::int64_t y = 0; y < h; ++y) {

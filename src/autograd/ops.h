@@ -53,8 +53,15 @@ Variable dense(const Variable& x, const Variable& w, const Variable& b);
 // ---- convolutions -----------------------------------------------------------
 /// Standard convolution: x NCHW, w [F,C,kh,kw], b [F] (optional, may be
 /// undefined). Symmetric zero padding `pad`, square stride.
+/// Batched as one parallel loop over images: each image is padded,
+/// im2col'd and multiplied in per-thread scratch, then gets its bias.
 Variable conv2d(const Variable& x, const Variable& w, const Variable& b, int stride,
                 int pad);
+/// relu(conv2d(x, w, b, stride, pad)) in one pass: the ReLU is applied to
+/// each image's output right after its bias. Value and every gradient are
+/// bitwise equal to the unfused pair.
+Variable conv2d_relu(const Variable& x, const Variable& w, const Variable& b, int stride,
+                     int pad);
 /// Depthwise convolution with same padding, stride 1: w [C,kh,kw], optional
 /// b [C]. Each channel filtered independently — the paper's filter layer.
 Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Variable& b);

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "src/linalg/gemm.h"
-#include "src/util/parallel.h"
 
 namespace blurnet::tensor {
 
@@ -144,15 +144,14 @@ Tensor transpose2d(const Tensor& a) {
   return out;
 }
 
-void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out) {
-  if (x.rank() != 4) throw std::invalid_argument("pad2d_into: expected NCHW");
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+void pad2d_into(const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
+                int pad_h, int pad_w, float* out) {
   const std::int64_t hp = h + 2 * pad_h, wp = w + 2 * pad_w;
-  for (std::int64_t p = 0; p < n * c; ++p) {
+  for (std::int64_t p = 0; p < planes; ++p) {
     float* plane = out + p * hp * wp;
     std::fill(plane, plane + pad_h * wp, 0.0f);
     for (std::int64_t ih = 0; ih < h; ++ih) {
-      const float* src = x.data() + (p * h + ih) * w;
+      const float* src = x + (p * h + ih) * w;
       float* dst = plane + (ih + pad_h) * wp;
       std::fill(dst, dst + pad_w, 0.0f);
       std::copy(src, src + w, dst + pad_w);
@@ -162,90 +161,64 @@ void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out) {
   }
 }
 
-Tensor unpad2d(const Tensor& x, int pad_h, int pad_w) {
-  if (x.rank() != 4) throw std::invalid_argument("unpad2d: expected NCHW");
-  if (pad_h == 0 && pad_w == 0) return x;
-  const std::int64_t n = x.dim(0), c = x.dim(1);
-  const std::int64_t h = x.dim(2) - 2 * pad_h, w = x.dim(3) - 2 * pad_w;
-  if (h <= 0 || w <= 0) throw std::invalid_argument("unpad2d: padding exceeds size");
-  Tensor out(Shape::nchw(n, c, h, w));
-  for (std::int64_t in = 0; in < n; ++in)
-    for (std::int64_t ic = 0; ic < c; ++ic)
-      for (std::int64_t ih = 0; ih < h; ++ih) {
-        const float* src = x.data() +
-                           ((in * c + ic) * (h + 2 * pad_h) + ih + pad_h) * (w + 2 * pad_w) +
-                           pad_w;
-        float* dst = out.data() + ((in * c + ic) * h + ih) * w;
-        std::copy(src, src + w, dst);
-      }
-  return out;
-}
-
 std::int64_t conv_out_size(std::int64_t in, int kernel, int stride) {
   return (in - kernel) / stride + 1;
 }
 
-void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
-                 std::int64_t w, int kh, int kw, int stride_h, int stride_w, float* out) {
-  const std::int64_t oh = conv_out_size(h, kh, stride_h);
-  const std::int64_t ow = conv_out_size(w, kw, stride_w);
+void im2col_into(const float* x, std::int64_t c, std::int64_t h, std::int64_t w, int kh,
+                 int kw, int stride, float* out) {
+  const std::int64_t oh = conv_out_size(h, kh, stride);
+  const std::int64_t ow = conv_out_size(w, kw, stride);
   if (oh <= 0 || ow <= 0) throw std::invalid_argument("im2col_into: kernel larger than input");
-  const std::int64_t patch = c * kh * kw;
-  util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t in = n0; in < n1; ++in) {
-      float* base = out + in * patch * oh * ow;
-      for (std::int64_t ic = 0; ic < c; ++ic) {
-        for (int fy = 0; fy < kh; ++fy) {
-          for (int fx = 0; fx < kw; ++fx) {
-            const std::int64_t row = (ic * kh + fy) * kw + fx;
-            float* dst = base + row * oh * ow;
-            const float* src_plane = x + (in * c + ic) * h * w;
-            for (std::int64_t oy = 0; oy < oh; ++oy) {
-              const std::int64_t iy = oy * stride_h + fy;
-              const float* src = src_plane + iy * w + fx;
-              for (std::int64_t ox = 0; ox < ow; ++ox) {
-                dst[oy * ow + ox] = src[ox * stride_w];
-              }
-            }
-          }
+  for (std::int64_t ic = 0; ic < c; ++ic) {
+    const float* src_plane = x + ic * h * w;
+    for (int fy = 0; fy < kh; ++fy) {
+      for (int fx = 0; fx < kw; ++fx) {
+        float* dst = out + ((ic * kh + fy) * kw + fx) * oh * ow;
+        for (std::int64_t oy = 0; oy < oh; ++oy) {
+          const float* src = src_plane + (oy * stride + fy) * w + fx;
+          for (std::int64_t ox = 0; ox < ow; ++ox) dst[oy * ow + ox] = src[ox * stride];
         }
       }
     }
-  }, /*min_chunk=*/1);
+  }
 }
 
-Tensor col2im(const Tensor& cols, std::int64_t n, std::int64_t c, std::int64_t h,
-              std::int64_t w, int kh, int kw, int stride_h, int stride_w) {
-  const std::int64_t oh = conv_out_size(h, kh, stride_h);
-  const std::int64_t ow = conv_out_size(w, kw, stride_w);
-  const std::int64_t patch = c * kh * kw;
-  if (cols.rank() != 3 || cols.dim(0) != n || cols.dim(1) != patch ||
-      cols.dim(2) != oh * ow) {
-    throw std::invalid_argument("col2im: column shape mismatch");
-  }
-  Tensor out(Shape::nchw(n, c, h, w));
-  util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
-    for (std::int64_t in = n0; in < n1; ++in) {
-      const float* base = cols.data() + in * patch * oh * ow;
-      for (std::int64_t ic = 0; ic < c; ++ic) {
-        float* dst_plane = out.data() + (in * c + ic) * h * w;
-        for (int fy = 0; fy < kh; ++fy) {
-          for (int fx = 0; fx < kw; ++fx) {
-            const std::int64_t row = (ic * kh + fy) * kw + fx;
-            const float* src = base + row * oh * ow;
-            for (std::int64_t oy = 0; oy < oh; ++oy) {
-              const std::int64_t iy = oy * stride_h + fy;
-              float* dst = dst_plane + iy * w + fx;
-              for (std::int64_t ox = 0; ox < ow; ++ox) {
-                dst[ox * stride_w] += src[oy * ow + ox];
-              }
-            }
+namespace {
+
+/// [first, end) of the output positions o in [0, out) whose tap
+/// o*stride + k - pad lands inside [0, in).
+std::pair<std::int64_t, std::int64_t> inside_range(std::int64_t out, std::int64_t in, int k,
+                                                   int stride, int pad) {
+  const std::int64_t first = k >= pad ? 0 : (pad - k + stride - 1) / stride;
+  const std::int64_t last = in - 1 + pad - k;  // largest in-image o*stride
+  const std::int64_t end = last < 0 ? 0 : std::min(out, last / stride + 1);
+  return {first, std::max(first, end)};
+}
+
+}  // namespace
+
+void col2im_add(const float* cols, std::int64_t c, std::int64_t h, std::int64_t w, int kh,
+                int kw, int stride, int pad, float* dx) {
+  const std::int64_t oh = conv_out_size(h + 2 * pad, kh, stride);
+  const std::int64_t ow = conv_out_size(w + 2 * pad, kw, stride);
+  if (oh <= 0 || ow <= 0) throw std::invalid_argument("col2im_add: kernel larger than input");
+  for (std::int64_t ic = 0; ic < c; ++ic) {
+    float* dst_plane = dx + ic * h * w;
+    for (int fy = 0; fy < kh; ++fy) {
+      const auto [oy0, oy1] = inside_range(oh, h, fy, stride, pad);
+      for (int fx = 0; fx < kw; ++fx) {
+        const auto [ox0, ox1] = inside_range(ow, w, fx, stride, pad);
+        const float* src = cols + ((ic * kh + fy) * kw + fx) * oh * ow;
+        for (std::int64_t oy = oy0; oy < oy1; ++oy) {
+          float* dst = dst_plane + (oy * stride + fy - pad) * w;
+          for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+            dst[ox * stride + fx - pad] += src[oy * ow + ox];
           }
         }
       }
     }
-  }, /*min_chunk=*/1);
-  return out;
+  }
 }
 
 Tensor reduce_nhw(const Tensor& x) {
@@ -260,21 +233,6 @@ Tensor reduce_nhw(const Tensor& x) {
       out[ic] += static_cast<float>(acc);
     }
   }
-  return out;
-}
-
-Tensor broadcast_bias_nchw(const Tensor& x, const Tensor& bias) {
-  if (x.rank() != 4 || bias.rank() != 1 || bias.dim(0) != x.dim(1)) {
-    throw std::invalid_argument("broadcast_bias_nchw: shape mismatch");
-  }
-  Tensor out = x.clone();
-  const std::int64_t n = x.dim(0), c = x.dim(1), hw = x.dim(2) * x.dim(3);
-  for (std::int64_t in = 0; in < n; ++in)
-    for (std::int64_t ic = 0; ic < c; ++ic) {
-      float* dst = out.data() + (in * c + ic) * hw;
-      const float b = bias[ic];
-      for (std::int64_t i = 0; i < hw; ++i) dst[i] += b;
-    }
   return out;
 }
 

@@ -45,23 +45,29 @@ Tensor matmul_nt(const Tensor& a, const Tensor& b);
 Tensor transpose2d(const Tensor& a);
 
 // ---- convolution plumbing ---------------------------------------------------
-/// Zero-pad the spatial dims of an NCHW tensor into a caller-owned buffer of
-/// n*c*(h+2*pad_h)*(w+2*pad_w) floats, so repeated passes reuse one
-/// allocation (the convolutions pad into per-thread scratch). Writes the
-/// entire padded buffer — zero border plus copied interior — in one pass, so
-/// reused scratch needs no pre-clearing.
-void pad2d_into(const Tensor& x, int pad_h, int pad_w, float* out);
-/// Inverse of pad2d_into: crop the interior region (used for gradients).
-Tensor unpad2d(const Tensor& x, int pad_h, int pad_w);
+// Single-image, raw-pointer forms: the convolutions call them per image (or
+// per plane) inside their parallel loops, on per-thread scratch, so one
+// image's intermediates stay in cache between the steps.
 
-/// im2col of a raw (already padded) NCHW buffer of the given dims into a
-/// caller-owned [n, c*kh*kw, out_h*out_w] buffer.
-void im2col_into(const float* x, std::int64_t n, std::int64_t c, std::int64_t h,
-                 std::int64_t w, int kh, int kw, int stride_h, int stride_w, float* out);
-/// Adjoint of im2col: scatter columns back into an NCHW buffer of shape
-/// [n, c, h, w] (padded sizes).
-Tensor col2im(const Tensor& cols, std::int64_t n, std::int64_t c, std::int64_t h,
-              std::int64_t w, int kh, int kw, int stride_h, int stride_w);
+/// Zero-pad `planes` consecutive h x w planes into a caller-owned buffer of
+/// planes*(h+2*pad_h)*(w+2*pad_w) floats. Writes every float of the padded
+/// buffer — zero border plus copied interior — in one pass, so reused
+/// scratch needs no pre-clearing.
+void pad2d_into(const float* x, std::int64_t planes, std::int64_t h, std::int64_t w,
+                int pad_h, int pad_w, float* out);
+
+/// im2col of one already-padded [c, h, w] image into a caller-owned
+/// [c*kh*kw, out_h*out_w] buffer (square stride).
+void im2col_into(const float* x, std::int64_t c, std::int64_t h, std::int64_t w, int kh,
+                 int kw, int stride, float* out);
+/// Adjoint of pad2d_into (pad on every side) followed by im2col_into, for one
+/// image: scatter-add columns [c*kh*kw, out_h*out_w] taken over the padded
+/// image into the *unpadded* [c, h, w] buffer `dx`. Taps that land in the
+/// padding are dropped; every image element receives its terms in ascending
+/// (channel, fy, fx, oy, ox) order, exactly as a scatter into a zeroed padded
+/// buffer followed by a crop would.
+void col2im_add(const float* cols, std::int64_t c, std::int64_t h, std::int64_t w, int kh,
+                int kw, int stride, int pad, float* dx);
 
 /// Output spatial size for a convolution over a padded input.
 std::int64_t conv_out_size(std::int64_t in, int kernel, int stride);
@@ -69,8 +75,6 @@ std::int64_t conv_out_size(std::int64_t in, int kernel, int stride);
 // ---- reductions / shape utilities -------------------------------------------
 /// Sum over N,H,W of an NCHW tensor -> rank-1 [C]. Used for bias gradients.
 Tensor reduce_nhw(const Tensor& x);
-/// Broadcast a rank-1 [C] bias over an NCHW tensor (allocating).
-Tensor broadcast_bias_nchw(const Tensor& x, const Tensor& bias);
 /// Row-wise softmax of a [n, k] matrix.
 Tensor softmax_rows(const Tensor& logits);
 /// Row-wise log-softmax of a [n, k] matrix (numerically stable).

@@ -6,6 +6,8 @@
 // 0, argmax ties) so the checks are well-posed.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/autograd/gradcheck.h"
 #include "src/autograd/ops.h"
 #include "src/defense/regularizers.h"
@@ -154,6 +156,45 @@ INSTANTIATE_TEST_SUITE_P(Configs, Conv2dGradCheck,
                          ::testing::Values(std::tuple{3, 1, 1}, std::tuple{3, 2, 1},
                                            std::tuple{5, 1, 2}, std::tuple{5, 2, 2},
                                            std::tuple{1, 1, 0}));
+
+TEST(GradCheck, Conv2dRelu) {
+  // loss = sum(r * conv2d_relu(...)). Weights r are zeroed where the
+  // pre-activation lies within 0.05 of the kink, so no finite-difference
+  // probe crosses it; the remaining negative outputs must get no gradient.
+  util::Rng rng(27);
+  const Tensor x0 = Tensor::randn(Shape::nchw(2, 2, 6, 6), rng, 0.0f, 0.5f);
+  const Tensor w0 = Tensor::randn(Shape{3, 2, 3, 3}, rng, 0.0f, 0.3f);
+  const Tensor b0 = Tensor::randn(Shape::vec(3), rng, 0.0f, 0.2f);
+  const int stride = 2, pad = 2;
+  const Tensor pre = conv2d(Variable::constant(x0), Variable::constant(w0),
+                            Variable::constant(b0), stride, pad)
+                         .value();
+  Tensor r = Tensor::randn(pre.shape(), rng);
+  int negative = 0;
+  for (std::int64_t i = 0; i < r.numel(); ++i) {
+    if (std::fabs(pre[i]) < 0.05f) r[i] = 0.0f;
+    if (pre[i] <= -0.05f) ++negative;
+  }
+  ASSERT_GT(negative, 0);
+  auto loss = [&](const Variable& x, const Variable& w, const Variable& b) {
+    return sum(mul_const(conv2d_relu(x, w, b, stride, pad), r));
+  };
+  expect_gradcheck(
+      [&](const Variable& x) {
+        return loss(x, Variable::constant(w0), Variable::constant(b0));
+      },
+      x0);
+  expect_gradcheck(
+      [&](const Variable& w) {
+        return loss(Variable::constant(x0), w, Variable::constant(b0));
+      },
+      w0);
+  expect_gradcheck(
+      [&](const Variable& b) {
+        return loss(Variable::constant(x0), Variable::constant(w0), b);
+      },
+      b0);
+}
 
 TEST(GradCheck, DepthwiseConvInputAndWeights) {
   util::Rng rng(30);

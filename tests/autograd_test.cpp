@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "src/autograd/gradcheck.h"
@@ -11,6 +13,7 @@
 #include "src/signal/dct.h"
 #include "src/signal/kernels.h"
 #include "src/tensor/ops.h"
+#include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "tests/test_helpers.h"
 
@@ -404,6 +407,202 @@ TEST(Ops, DepthwiseNonFiniteTapReachesInputGradientBorders) {
   EXPECT_TRUE(std::isnan(dx[8]));
 }
 
+TEST(Ops, DepthwiseBiasBroadcastsPerChannel) {
+  // The bias is added inside the per-plane loop: channel c gets b[c] at
+  // every pixel.
+  const auto x = Variable::constant(Tensor::zeros(Shape::nchw(2, 2, 2, 2)));
+  const auto w = Variable::constant(Tensor::zeros(Shape{2, 3, 3}));
+  const auto b = Variable::constant(Tensor::from_vector({1.0f, -1.0f}));
+  const Tensor out = depthwise_conv2d_same(x, w, b).value();
+  EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 1), 1.0f);
+  EXPECT_FLOAT_EQ(out.at4(0, 1, 0, 0), -1.0f);
+  EXPECT_FLOAT_EQ(out.at4(1, 0, 0, 1), 1.0f);
+  EXPECT_FLOAT_EQ(out.at4(1, 1, 1, 0), -1.0f);
+}
+
+// ---- fused conv2d + ReLU and the per-image conv loop --------------------------
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * static_cast<std::size_t>(a.numel())) ==
+             0;
+}
+
+enum class ConvMode { kGraph, kNoGrad, kFrozen };
+
+struct ConvRun {
+  Tensor y, dx, dw, db;
+};
+
+// One conv forward (fused, or relu over conv2d), plus the gradients of
+// sum(y * r) with respect to whichever of x, w, b the mode differentiates.
+ConvRun run_conv(bool fused, ConvMode mode, const Tensor& x, const Tensor& w, const Tensor* b,
+                 int stride, int pad, const Tensor& r) {
+  // Frozen weights are non-grad leaves; under NoGradGuard every leaf still
+  // requires a gradient, and the guard alone keeps the forward graph-free.
+  const bool params = mode != ConvMode::kFrozen;
+  Variable xv = Variable::leaf(x.clone());
+  Variable wv = Variable::leaf(w.clone(), params);
+  Variable bv = b ? Variable::leaf(b->clone(), params) : Variable();
+  auto forward = [&] {
+    return fused ? conv2d_relu(xv, wv, bv, stride, pad) : relu(conv2d(xv, wv, bv, stride, pad));
+  };
+  ConvRun run;
+  if (mode == ConvMode::kNoGrad) {
+    NoGradGuard no_grad;
+    run.y = forward().value();
+    return run;
+  }
+  const Variable y = forward();
+  run.y = y.value();
+  backward(sum(mul_const(y, r)));
+  run.dx = xv.grad();
+  if (mode == ConvMode::kGraph) {
+    run.dw = wv.grad();
+    if (b) run.db = bv.grad();
+  }
+  return run;
+}
+
+TEST(Ops, Conv2dReluBitwiseEqualsReluOfConv2d) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  util::Rng rng(61);
+  for (const bool with_nan : {false, true}) {
+    // Image 0 holds ±0 (and optionally a NaN), channel 1 of image 1 is
+    // all-negative, image 2 is all zeros; zero bias entries make exact-zero
+    // pre-activations.
+    Tensor x = Tensor::randn(Shape::nchw(3, 2, 7, 6), rng);
+    x[0] = 0.0f;
+    x[1] = -0.0f;
+    x[5] = -0.0f;
+    if (with_nan) x[20] = nan;
+    float* negative_plane = x.data() + (1 * 2 + 1) * 42;
+    for (std::int64_t i = 0; i < 42; ++i) {
+      negative_plane[i] = -std::fabs(negative_plane[i]) - 0.1f;
+    }
+    for (std::int64_t i = 0; i < 84; ++i) x[2 * 84 + i] = (i % 2) ? 0.0f : -0.0f;
+    const Tensor w = Tensor::randn(Shape{5, 2, 3, 3}, rng, 0.0f, 0.5f);
+    const Tensor b(Shape::vec(5), {0.3f, 0.0f, -0.2f, -0.0f, 0.1f});
+    for (const int stride : {1, 2}) {
+      for (const int pad : {0, 2}) {
+        for (const bool with_bias : {true, false}) {
+          const Tensor* bias = with_bias ? &b : nullptr;
+          const std::int64_t side_h = (7 + 2 * pad - 3) / stride + 1;
+          const std::int64_t side_w = (6 + 2 * pad - 3) / stride + 1;
+          Tensor r = Tensor::randn(Shape::nchw(3, 5, side_h, side_w), rng);
+          r[3] = 0.0f;
+          for (const ConvMode mode : {ConvMode::kGraph, ConvMode::kNoGrad, ConvMode::kFrozen}) {
+            SCOPED_TRACE(::testing::Message() << "nan " << with_nan << " stride " << stride
+                                              << " pad " << pad << " bias " << with_bias
+                                              << " mode " << static_cast<int>(mode));
+            const ConvRun fused = run_conv(true, mode, x, w, bias, stride, pad, r);
+            const ConvRun reference = run_conv(false, mode, x, w, bias, stride, pad, r);
+            EXPECT_TRUE(same_bits(fused.y, reference.y));
+            EXPECT_TRUE(same_bits(fused.dx, reference.dx));
+            EXPECT_TRUE(same_bits(fused.dw, reference.dw));
+            EXPECT_TRUE(same_bits(fused.db, reference.db));
+            if (mode == ConvMode::kGraph) {
+              EXPECT_EQ(fused.dw.shape(), w.shape());
+              if (with_bias) {
+                EXPECT_EQ(fused.db.shape(), b.shape());
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Ops, Conv2dReluBackwardMasksWhereOutputIsZero) {
+  // A negative pre-activation gets no gradient; a positive one passes it.
+  const auto x = Variable::leaf(Tensor(Shape::nchw(1, 1, 1, 2), {2.0f, -3.0f}));
+  const auto w = Variable::constant(Tensor(Shape{1, 1, 1, 1}, {1.0f}));
+  const Variable y = conv2d_relu(x, w, Variable(), 1, 0);
+  EXPECT_FLOAT_EQ(y.value()[0], 2.0f);
+  EXPECT_FLOAT_EQ(y.value()[1], 0.0f);
+  backward(sum(y));
+  EXPECT_FLOAT_EQ(x.node()->grad()[0], 1.0f);
+  EXPECT_FLOAT_EQ(x.node()->grad()[1], 0.0f);
+}
+
+// conv2d and conv2d_relu on `x` as one batch, then image by image.
+void expect_batch_equals_per_image_calls(const Tensor& x, const Tensor& w, const Tensor& b,
+                                         int stride, int pad) {
+  NoGradGuard no_grad;
+  const auto wv = Variable::constant(w), bv = Variable::constant(b);
+  for (const bool fused : {false, true}) {
+    auto op = [&](const Tensor& in) {
+      const auto xv = Variable::constant(in);
+      return (fused ? conv2d_relu(xv, wv, bv, stride, pad) : conv2d(xv, wv, bv, stride, pad))
+          .value();
+    };
+    const Tensor batched = op(x);
+    const std::int64_t n = x.dim(0);
+    const std::int64_t in_size = x.numel() / n, out_size = batched.numel() / n;
+    for (std::int64_t i = 0; i < n; ++i) {
+      Tensor one(Shape::nchw(1, x.dim(1), x.dim(2), x.dim(3)));
+      std::copy(x.data() + i * in_size, x.data() + (i + 1) * in_size, one.data());
+      const Tensor single = op(one);
+      ASSERT_EQ(single.numel(), out_size);
+      ASSERT_EQ(std::memcmp(single.data(), batched.data() + i * out_size,
+                            sizeof(float) * static_cast<std::size_t>(out_size)),
+                0)
+          << "fused " << fused << " image " << i;
+    }
+  }
+}
+
+// Fills this thread's (and the pool workers') conv scratch with nonzero
+// floats from a larger shape than the calls that follow.
+void dirty_conv_scratch() {
+  util::Rng rng(77);
+  NoGradGuard no_grad;
+  const auto x = Variable::constant(Tensor::randn(Shape::nchw(8, 16, 20, 20), rng, 5.0f, 1.0f));
+  const auto w = Variable::constant(Tensor::randn(Shape{8, 16, 5, 5}, rng));
+  (void)conv2d(x, w, Variable(), 1, 3);
+  (void)depthwise_conv2d_same(x, Variable::constant(Tensor::randn(Shape{16, 7, 7}, rng)),
+                              Variable());
+}
+
+TEST(Ops, Conv2dBatchEqualsPerImageCalls) {
+  util::Rng rng(63);
+  const Tensor x = Tensor::randn(Shape::nchw(64, 3, 12, 12), rng);
+  const Tensor w = Tensor::randn(Shape{8, 3, 5, 5}, rng, 0.0f, 0.3f);
+  const Tensor b = Tensor::randn(Shape::vec(8), rng);
+  // A pure-pad image: a 1x1 input padded by 2, so 24 of the 25 floats each
+  // 5x5 window reads are padding.
+  const Tensor dot_x(Shape::nchw(1, 1, 1, 1), {1.5f});
+  const Tensor dot_w = Tensor::randn(Shape{4, 1, 5, 5}, rng);
+  const Tensor dot_b = Tensor::randn(Shape::vec(4), rng);
+  auto dot_conv = [&] {
+    NoGradGuard no_grad;
+    return conv2d(Variable::constant(dot_x), Variable::constant(dot_w),
+                  Variable::constant(dot_b), 1, 2)
+        .value();
+  };
+  Tensor fresh_thread_dot;
+  std::thread([&] { fresh_thread_dot = dot_conv(); }).join();
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << "workers " << workers);
+    util::set_parallel_workers(workers);
+    for (const int stride : {1, 2}) {
+      dirty_conv_scratch();
+      expect_batch_equals_per_image_calls(x, w, b, stride, 2);
+      expect_batch_equals_per_image_calls(x, w, b, stride, 0);
+    }
+    dirty_conv_scratch();
+    const Tensor dot = dot_conv();
+    EXPECT_TRUE(same_bits(dot, fresh_thread_dot));
+    for (std::int64_t f = 0; f < 4; ++f) {
+      // Only the center tap sees the image; every padded float is zero.
+      const float product = dot_w[f * 25 + 12] * 1.5f;
+      EXPECT_EQ(dot[f], product + dot_b[f]) << "filter " << f;
+    }
+  }
+  util::reset_parallel_workers();
+}
+
 TEST(Ops, MaxPoolForward) {
   Tensor x(Shape::nchw(1, 1, 2, 2), {1.0f, 5.0f, 3.0f, 2.0f});
   const auto y = maxpool2d(Variable::constant(x), 2, 2);
@@ -692,6 +891,28 @@ TEST(KernelDispatch, DepthwiseInputGradientBitwiseIdenticalAcrossTargets) {
         ASSERT_EQ(dx[i], scalar_dx[i]) << util::kernel_target_name(target) << " kernel "
                                        << kshape.to_string() << " elem " << i;
       }
+    }
+  }
+}
+
+// The GEMM tile may differ across targets (hardware FMA), so the fused op is
+// held to relu(conv2d) within each target, values and gradients.
+TEST(KernelDispatch, Conv2dReluBitwiseEqualsReluOfConv2dOnEveryTarget) {
+  util::Rng rng(94);
+  const Tensor x = Tensor::randn(Shape::nchw(2, 3, 9, 11), rng);
+  const Tensor w = Tensor::randn(Shape{10, 3, 5, 5}, rng, 0.0f, 0.3f);
+  const Tensor b = Tensor::randn(Shape::vec(10), rng);
+  const Tensor r = Tensor::randn(Shape::nchw(2, 10, 5, 6), rng);
+  for (const auto target : blurnet::testing::available_kernel_targets()) {
+    blurnet::testing::ScopedKernelTarget scoped(target);
+    for (const ConvMode mode : {ConvMode::kGraph, ConvMode::kNoGrad, ConvMode::kFrozen}) {
+      const ConvRun fused = run_conv(true, mode, x, w, &b, 2, 2, r);
+      const ConvRun reference = run_conv(false, mode, x, w, &b, 2, 2, r);
+      const char* name = util::kernel_target_name(target);
+      EXPECT_TRUE(same_bits(fused.y, reference.y)) << name;
+      EXPECT_TRUE(same_bits(fused.dx, reference.dx)) << name;
+      EXPECT_TRUE(same_bits(fused.dw, reference.dw)) << name;
+      EXPECT_TRUE(same_bits(fused.db, reference.db)) << name;
     }
   }
 }

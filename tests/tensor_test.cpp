@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -119,13 +120,31 @@ TEST(TensorOps, MatmulVariantsAgree) {
   }
 }
 
-// im2col of a whole (already padded) NCHW tensor into a fresh column tensor.
-Tensor im2col_of(const Tensor& x, int kernel, int stride) {
-  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-  Tensor cols(Shape{n, c * kernel * kernel,
-                    conv_out_size(h, kernel, stride) * conv_out_size(w, kernel, stride)});
-  im2col_into(x.data(), n, c, h, w, kernel, kernel, stride, stride, cols.data());
+// Zero-pads an NCHW tensor by `pad` on every side, then im2cols every image
+// into a fresh [n, c*kernel*kernel, oh*ow] column tensor.
+Tensor im2col_of(const Tensor& x, int kernel, int stride, int pad = 0) {
+  const std::int64_t n = x.dim(0), c = x.dim(1);
+  const std::int64_t hp = x.dim(2) + 2 * pad, wp = x.dim(3) + 2 * pad;
+  const std::int64_t ohw = conv_out_size(hp, kernel, stride) * conv_out_size(wp, kernel, stride);
+  Tensor padded(Shape::nchw(n, c, hp, wp));
+  pad2d_into(x.data(), n * c, x.dim(2), x.dim(3), pad, pad, padded.data());
+  Tensor cols(Shape{n, c * kernel * kernel, ohw});
+  for (std::int64_t in = 0; in < n; ++in) {
+    im2col_into(padded.data() + in * c * hp * wp, c, hp, wp, kernel, kernel, stride,
+                cols.data() + in * c * kernel * kernel * ohw);
+  }
   return cols;
+}
+
+// col2im_add of every image of `cols` into a fresh tensor shaped like x.
+Tensor col2im_of(const Tensor& cols, const Shape& x_shape, int kernel, int stride, int pad = 0) {
+  const std::int64_t n = x_shape[0], c = x_shape[1], h = x_shape[2], w = x_shape[3];
+  Tensor dx(x_shape);
+  for (std::int64_t in = 0; in < n; ++in) {
+    col2im_add(cols.data() + in * cols.dim(1) * cols.dim(2), c, h, w, kernel, kernel, stride,
+               pad, dx.data() + in * c * h * w);
+  }
+  return dx;
 }
 
 TEST(TensorOps, PadUnpadRoundTrip) {
@@ -134,10 +153,17 @@ TEST(TensorOps, PadUnpadRoundTrip) {
   Tensor padded(Shape::nchw(2, 3, 8, 7));
   // Stale scratch contents must not survive: pad2d_into writes every float.
   padded.fill(7.0f);
-  pad2d_into(x, 2, 1, padded.data());
+  pad2d_into(x.data(), 2 * 3, 4, 5, 2, 1, padded.data());
   EXPECT_FLOAT_EQ(padded.at4(0, 0, 0, 0), 0.0f);
-  const Tensor back = unpad2d(padded, 2, 1);
-  for (std::int64_t i = 0; i < x.numel(); ++i) EXPECT_FLOAT_EQ(back[i], x[i]);
+  for (std::int64_t p = 0; p < 2 * 3; ++p) {
+    for (std::int64_t y = 0; y < 8; ++y) {
+      for (std::int64_t xx = 0; xx < 7; ++xx) {
+        const bool inside = y >= 2 && y < 6 && xx >= 1 && xx < 6;
+        const float expected = inside ? x[(p * 4 + y - 2) * 5 + xx - 1] : 0.0f;
+        EXPECT_EQ(padded[(p * 8 + y) * 7 + xx], expected);
+      }
+    }
+  }
 }
 
 TEST(TensorOps, Im2ColKnownValues) {
@@ -153,14 +179,54 @@ TEST(TensorOps, Im2ColKnownValues) {
 }
 
 TEST(TensorOps, Col2ImIsAdjointOfIm2Col) {
-  // <im2col(x), y> == <x, col2im(y)> for random x, y — the adjoint property
-  // the conv2d backward pass relies on.
+  // <im2col(pad(x)), y> == <x, col2im_add(y)> for random x, y — the adjoint
+  // property the conv2d backward pass relies on.
   util::Rng rng(7);
   const Tensor x = Tensor::randn(Shape::nchw(2, 3, 6, 6), rng);
-  const Tensor cols = im2col_of(x, 3, 2);
-  const Tensor y = Tensor::randn(cols.shape(), rng);
-  const Tensor x_back = col2im(y, 2, 3, 6, 6, 3, 3, 2, 2);
-  EXPECT_NEAR(dot(cols, y), dot(x, x_back), 1e-3);
+  for (const int pad : {0, 1}) {
+    const Tensor cols = im2col_of(x, 3, 2, pad);
+    const Tensor y = Tensor::randn(cols.shape(), rng);
+    const Tensor x_back = col2im_of(y, x.shape(), 3, 2, pad);
+    EXPECT_NEAR(dot(cols, y), dot(x, x_back), 1e-3) << "pad " << pad;
+  }
+}
+
+TEST(TensorOps, Col2ImAddEqualsPaddedScatterThenCrop) {
+  // col2im_add skips the padded border instead of scattering into it; every
+  // image element must still receive its terms in the same order, so the
+  // result is bitwise a scatter into a zeroed padded buffer followed by a crop.
+  struct Case { std::int64_t c, h, w; int kernel, stride, pad; };
+  const Case cases[] = {{2, 6, 6, 3, 2, 1}, {1, 1, 1, 5, 1, 2}, {3, 3, 5, 5, 2, 2},
+                        {2, 7, 4, 3, 3, 0}, {1, 2, 2, 5, 2, 2}, {2, 9, 9, 5, 1, 2}};
+  util::Rng rng(13);
+  for (const Case& k : cases) {
+    const std::int64_t hp = k.h + 2 * k.pad, wp = k.w + 2 * k.pad;
+    const std::int64_t oh = conv_out_size(hp, k.kernel, k.stride);
+    const std::int64_t ow = conv_out_size(wp, k.kernel, k.stride);
+    const Tensor cols = Tensor::randn(Shape{k.c * k.kernel * k.kernel, oh * ow}, rng);
+    std::vector<float> scattered(static_cast<std::size_t>(k.c * hp * wp), 0.0f);
+    for (std::int64_t ic = 0; ic < k.c; ++ic)
+      for (int fy = 0; fy < k.kernel; ++fy)
+        for (int fx = 0; fx < k.kernel; ++fx)
+          for (std::int64_t oy = 0; oy < oh; ++oy)
+            for (std::int64_t ox = 0; ox < ow; ++ox) {
+              scattered[static_cast<std::size_t>(
+                  (ic * hp + oy * k.stride + fy) * wp + ox * k.stride + fx)] +=
+                  cols[(((ic * k.kernel + fy) * k.kernel + fx) * oh + oy) * ow + ox];
+            }
+    std::vector<float> dx(static_cast<std::size_t>(k.c * k.h * k.w), 0.0f);
+    col2im_add(cols.data(), k.c, k.h, k.w, k.kernel, k.kernel, k.stride, k.pad, dx.data());
+    for (std::int64_t ic = 0; ic < k.c; ++ic)
+      for (std::int64_t y = 0; y < k.h; ++y)
+        for (std::int64_t xx = 0; xx < k.w; ++xx) {
+          const float expected = scattered[static_cast<std::size_t>(
+              (ic * hp + y + k.pad) * wp + xx + k.pad)];
+          const float got = dx[static_cast<std::size_t>((ic * k.h + y) * k.w + xx)];
+          EXPECT_EQ(std::memcmp(&expected, &got, sizeof(float)), 0)
+              << "c" << k.c << " " << k.h << "x" << k.w << " k" << k.kernel << " s"
+              << k.stride << " p" << k.pad << " at " << ic << "," << y << "," << xx;
+        }
+  }
 }
 
 TEST(TensorOps, SoftmaxRowsSumToOne) {
@@ -200,14 +266,6 @@ TEST(TensorOps, ReduceNhwComputesPerChannelSums) {
   EXPECT_FLOAT_EQ(sums[1], 3 + 4 + 7 + 8);
 }
 
-TEST(TensorOps, BroadcastBias) {
-  Tensor x = Tensor::zeros(Shape::nchw(1, 2, 2, 2));
-  const Tensor bias = Tensor::from_vector({1.0f, -1.0f});
-  const Tensor out = broadcast_bias_nchw(x, bias);
-  EXPECT_FLOAT_EQ(out.at4(0, 0, 1, 1), 1.0f);
-  EXPECT_FLOAT_EQ(out.at4(0, 1, 0, 0), -1.0f);
-}
-
 TEST(TensorOps, L2Dissimilarity) {
   const Tensor natural = Tensor::from_vector({3.0f, 4.0f});  // norm 5
   const Tensor adv = Tensor::from_vector({3.0f, 5.0f});      // diff norm 1
@@ -221,22 +279,23 @@ TEST(TensorOps, ConvOutSize) {
   EXPECT_EQ(conv_out_size(8, 3, 2), 3);
 }
 
-// Property sweep: im2col/col2im adjointness across kernel/stride combos.
-class Im2ColAdjoint : public ::testing::TestWithParam<std::tuple<int, int>> {};
+// Property sweep: im2col/col2im adjointness across kernel/stride/pad combos.
+class Im2ColAdjoint : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 TEST_P(Im2ColAdjoint, HoldsForAllConfigs) {
-  const auto [kernel, stride] = GetParam();
-  util::Rng rng(100 + kernel * 10 + stride);
+  const auto [kernel, stride, pad] = GetParam();
+  util::Rng rng(100 + kernel * 10 + stride + 1000 * pad);
   const Tensor x = Tensor::randn(Shape::nchw(1, 2, 9, 9), rng);
-  const Tensor cols = im2col_of(x, kernel, stride);
+  const Tensor cols = im2col_of(x, kernel, stride, pad);
   const Tensor y = Tensor::randn(cols.shape(), rng);
-  const Tensor x_back = col2im(y, 1, 2, 9, 9, kernel, kernel, stride, stride);
+  const Tensor x_back = col2im_of(y, x.shape(), kernel, stride, pad);
   EXPECT_NEAR(dot(cols, y), dot(x, x_back), 1e-3);
 }
 
 INSTANTIATE_TEST_SUITE_P(KernelsAndStrides, Im2ColAdjoint,
                          ::testing::Combine(::testing::Values(1, 2, 3, 5),
-                                            ::testing::Values(1, 2, 3)));
+                                            ::testing::Values(1, 2, 3),
+                                            ::testing::Values(0, 2)));
 
 }  // namespace
 }  // namespace blurnet::tensor
