@@ -91,7 +91,9 @@ void BM_DepthwiseBlurManySmallPlanes(benchmark::State& state) {
 BENCHMARK(BM_DepthwiseBlurManySmallPlanes)->Arg(1)->Arg(2)->Arg(4);
 
 // Pure parallel-region overhead: a near-empty body over a small range, so the
-// timing is the runtime's dispatch cost rather than useful work.
+// timing is the runtime's dispatch cost rather than useful work. CPU is the
+// whole process's (woken workers included): the cost util::kWorkFloor is
+// calibrated against.
 void BM_ParallelForDispatch(benchmark::State& state) {
   util::set_parallel_workers(static_cast<int>(state.range(0)));
   std::vector<float> sink(1024, 1.0f);
@@ -103,7 +105,7 @@ void BM_ParallelForDispatch(benchmark::State& state) {
   }
   util::reset_parallel_workers();
 }
-BENCHMARK(BM_ParallelForDispatch)->Arg(2)->Arg(4);
+BENCHMARK(BM_ParallelForDispatch)->Arg(1)->Arg(2)->Arg(4)->MeasureProcessCPUTime()->UseRealTime();
 
 // The seed runtime's strategy, kept here as the reference point: spawn and
 // join fresh std::threads for every parallel region. Compare against
@@ -288,8 +290,8 @@ BENCHMARK(BM_TvLoss);
 
 // ---- GEMM: packed microkernel vs the seed's naive ikj loop ------------------
 // Args are {m, k, n}. The first three shapes are the im2col GEMMs of the
-// LISA-CNN conv layers at 32x32 (filters x patch x out-pixels); the last is a
-// square cache-unfriendly size. BM_GemmNaiveIkj reproduces the loop the
+// LISA-CNN conv layers at 32x32 (filters x patch x out-pixels), then a
+// square cache-unfriendly size and the batch-1 dense head. BM_GemmNaiveIkj reproduces the loop the
 // microkernel replaced (minus its NaN-dropping zero-skip), so the ratio of
 // the two is the speedup reported in the README perf section. Both sides run
 // with the worker count pinned to 1: the ratio isolates kernel quality
@@ -301,7 +303,8 @@ void gemm_bench_shapes(benchmark::internal::Benchmark* b) {
   b->Args({8, 75, 1024})    // conv1: 8 filters, 3x5x5 patch, 32x32 out
       ->Args({16, 200, 256})  // conv2: 16 filters, 8x5x5 patch, 16x16 out
       ->Args({32, 400, 64})   // conv3: 32 filters, 16x5x5 patch, 8x8 out
-      ->Args({256, 256, 256});
+      ->Args({256, 256, 256})
+      ->Args({1, 4096, 18});  // paper-size dense head at batch 1 (row path)
 }
 
 void BM_GemmMicrokernel(benchmark::State& state) {
@@ -357,9 +360,12 @@ void BM_MatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMul)->Arg(64)->Arg(256);
 
-// Items/s at batch 1, 16 and 64: the per-image cost of the batched forward
-// should not rise with the batch.
+// Items/s at batch 1, 16 and 64 with 1 and 4 pool workers: the per-image
+// cost of the batched forward should not rise with the batch, and 4 workers
+// should never be slower than 1 (at batch 1 the work floor keeps every
+// region inline, so the two should match).
 void BM_LisaCnnInference(benchmark::State& state) {
+  util::set_parallel_workers(static_cast<int>(state.range(1)));
   nn::LisaCnnConfig config;
   config.conv1_filters = 8;
   config.conv2_filters = 16;
@@ -370,8 +376,11 @@ void BM_LisaCnnInference(benchmark::State& state) {
     benchmark::DoNotOptimize(model.logits(x).data());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  util::reset_parallel_workers();
 }
-BENCHMARK(BM_LisaCnnInference)->Arg(1)->Arg(16)->Arg(64);
+BENCHMARK(BM_LisaCnnInference)
+    ->ArgNames({"batch", "workers"})
+    ->ArgsProduct({{1, 16, 64}, {1, 4}});
 
 serve::EngineConfig bench_engine_config() {
   serve::EngineConfig config;

@@ -339,7 +339,7 @@ Variable conv2d_impl(const char* name, const Variable& x, const Variable& w,
         }
       }
     }
-  }, /*min_chunk=*/1);
+  }, /*min_chunk=*/1, /*cost=*/f * ohw * patch);
 
   return make_op(
       name, std::move(out), {x, w, b},
@@ -379,7 +379,7 @@ Variable conv2d_impl(const char* name, const Variable& x, const Variable& w,
               tensor::col2im_add(dcols, c, h, wdim, kh, kw, stride, pad,
                                  dx.data() + in * c * h * wdim);
             }
-          }, /*min_chunk=*/1);
+          }, /*min_chunk=*/1, /*cost=*/f * ohw * patch);
           x.node()->accumulate_grad(dx);
         }
       });
@@ -438,7 +438,7 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
         for (std::int64_t i = 0; i < h * wdim; ++i) dst[i] += bias[ic];
       }
     }
-  }, /*min_chunk=*/1);
+  }, /*min_chunk=*/1, /*cost=*/h * wdim * kh * kw);
 
   return make_op(
       "depthwise_conv2d", std::move(out), {x, w, b},
@@ -505,7 +505,7 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
                 taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
               }
             }
-          }, /*min_chunk=*/1);
+          }, /*min_chunk=*/1, /*cost=*/h * wdim * kh * kw);
           x.node()->accumulate_grad(dx);
         }
       });
@@ -713,7 +713,7 @@ Variable tikhonov_rows(const Variable& x, const Tensor& l_operator) {
       for (std::int64_t i = 0; i < h * w; ++i) sq += static_cast<double>(gp[i]) * gp[i];
       plane_sq[static_cast<std::size_t>(p)] = sq;
     }
-  }, /*min_chunk=*/1);
+  }, /*min_chunk=*/1, /*cost=*/h * w * h);
   double acc = 0.0;
   for (const double sq : plane_sq) acc += sq;
   Tensor out = Tensor::scalar(static_cast<float>(acc) * scale);
@@ -730,7 +730,7 @@ Variable tikhonov_rows(const Variable& x, const Tensor& l_operator) {
                                         g_all.data() + p * h * w,
                                         dx.data() + p * h * w, /*accumulate=*/false);
                      }
-                   }, /*min_chunk=*/1);
+                   }, /*min_chunk=*/1, /*cost=*/h * w * h);
                    dx.scale_(g);
                    x.node()->accumulate_grad(dx);
                  });

@@ -155,7 +155,7 @@ Tensor bit_depth_squeeze(const Tensor& x, int bits) {
       const float v = std::clamp(src[i], 0.0f, 1.0f);
       dst[i] = std::round(v * levels) / levels;
     }
-  });
+  }, /*min_chunk=*/1, /*cost=*/4);  // clamp, scale, round, divide
   return out;
 }
 
@@ -217,7 +217,7 @@ Tensor median_filter_nchw(const Tensor& x, int kernel) {
           }
         }
       },
-      /*min_chunk=*/1);
+      /*min_chunk=*/1, /*cost=*/h * w * kernel * kernel);
   return out;
 }
 
@@ -295,7 +295,8 @@ Tensor dct_quantize_nchw(const Tensor& x, int quality) {
           }
         }
       },
-      /*min_chunk=*/1);
+      // A forward and an inverse 2-D DCT: two 8-tap passes each per pixel.
+      /*min_chunk=*/1, /*cost=*/h * w * 4 * kBlock);
   return out;
 }
 

@@ -348,9 +348,10 @@ void SweepScheduler::run() {
   }
 
   // The cross-victim fan-out: every victim's lanes run concurrently, each
-  // lane striding its victim's task list. min_chunk 1: one pool chunk per
-  // lane; nested parallel_for calls inside the crafting runs fall back
-  // inline, so the pool is never deadlocked.
+  // lane striding its victim's task list. A lane is whole crafting runs, far
+  // above the work floor, so each lane is its own pool chunk; nested
+  // parallel_for calls inside the crafting runs fall back inline, so the
+  // pool is never deadlocked.
   util::parallel_for(
       static_cast<std::int64_t>(lanes.size()),
       [&](std::int64_t l0, std::int64_t l1) {
@@ -365,7 +366,7 @@ void SweepScheduler::run() {
           }
         }
       },
-      /*min_chunk=*/1);
+      /*min_chunk=*/1, /*cost=*/util::kWorkFloor);
 
   // Per-job aggregation, sequentially in submission order — independent of
   // the crafting schedule.

@@ -32,6 +32,19 @@ void gemm_microtile_scalar(std::int64_t kc, const float* ap, const float* b,
   for (std::int64_t i = 0; i < mr * kGemmNr; ++i) acc[i] = local[i];
 }
 
+void gemm_row_scalar(std::int64_t kc, const float* a, const float* b,
+                     std::int64_t ldb, std::int64_t n, float* acc) {
+  // A local accumulator row, as in the microtile: it lets the compiler
+  // vectorize the j loop. Separate mul+add roundings per term.
+  float local[kGemmRowNr] = {};
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float av = a[kk];
+    const float* brow = b + kk * ldb;
+    for (std::int64_t j = 0; j < n; ++j) local[j] += av * brow[j];
+  }
+  for (std::int64_t j = 0; j < n; ++j) acc[j] = local[j];
+}
+
 void tap_row_scalar(const float* src, std::int64_t stride, const float* ker,
                     int kh, int kw, float* dst, std::int64_t count) {
   for (std::int64_t i = 0; i < count; ++i) {
@@ -71,14 +84,15 @@ void warp_row_scalar(const float* src, std::int64_t h, std::int64_t w,
   }
 }
 
-constexpr GemmMicrokernel kGemmScalar{4, /*fused=*/false, gemm_microtile_scalar};
+constexpr GemmMicrokernel kGemmScalar{4, /*fused=*/false, gemm_microtile_scalar,
+                                      gemm_row_scalar};
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-constexpr GemmMicrokernel kGemmAvx2{8, /*fused=*/true,
-                                    detail::gemm_microtile_avx2};
+constexpr GemmMicrokernel kGemmAvx2{8, /*fused=*/true, detail::gemm_microtile_avx2,
+                                    detail::gemm_row_avx2};
 #endif
 #if defined(BLURNET_HAVE_NEON_KERNELS)
-constexpr GemmMicrokernel kGemmNeon{4, /*fused=*/true,
-                                    detail::gemm_microtile_neon};
+constexpr GemmMicrokernel kGemmNeon{4, /*fused=*/true, detail::gemm_microtile_neon,
+                                    detail::gemm_row_neon};
 #endif
 
 }  // namespace

@@ -37,17 +37,29 @@ inline constexpr std::int64_t kGemmNr = 8;
 /// their writeback accumulator as float[kGemmMaxMr * kGemmNr].
 inline constexpr std::int64_t kGemmMaxMr = 8;
 
+/// Most columns one GemmMicrokernel::row call folds.
+inline constexpr std::int64_t kGemmRowNr = 32;
+
 /// Register-blocked microtile: acc[mr][kGemmNr] (row-major, overwritten —
 /// the kernel zero-initializes) = sum over kk<kc of
 /// ap[kk*mr + i] * b[kk*ldb + j].
 /// `ap` is a packed A panel (mr floats per k step, zero-padded rows);
 /// `b` is either a packed kGemmNr-wide panel (ldb == kGemmNr) or a
 /// direct row-major slice of B (ldb == original ldb, full tiles only).
+///
+/// Row kernel, for GEMMs shorter than one microtile (m < mr):
+/// acc[j] (overwritten) = sum over kk<kc of a[kk] * b[kk*ldb + j] for
+/// j < n <= kGemmRowNr. `a` is one contiguous row of op(A); `b` is a
+/// row-major slice of op(B) of which only the first n columns are read.
+/// Each element folds in ascending kk from +0 with the same rounding as
+/// the target's microtile, so both paths give bitwise-equal elements.
 struct GemmMicrokernel {
   std::int64_t mr;  ///< microtile rows; the driver packs A panels this tall
   bool fused;       ///< true: hardware FMA accumulation (avx2/neon)
   void (*fn)(std::int64_t kc, const float* ap, const float* b,
              std::int64_t ldb, float* acc);
+  void (*row)(std::int64_t kc, const float* a, const float* b,
+              std::int64_t ldb, std::int64_t n, float* acc);
 };
 
 /// Never null; scalar has mr == linalg::kMr (4), fused targets mr == 8 (avx2)

@@ -5,8 +5,8 @@
 // reported AVX2+FMA, so no function below needs its own runtime check.
 //
 // Numerics:
-//   * gemm_microtile_avx2 accumulates with _mm256_fmadd_ps — one rounding
-//     per term. Bitwise-deterministic, bitwise-modelled by
+//   * gemm_microtile_avx2 and gemm_row_avx2 accumulate with _mm256_fmadd_ps
+//     — one rounding per term. Bitwise-deterministic, bitwise-modelled by
 //     linalg::sgemm_reference_fused, but NOT bit-equal to the scalar
 //     two-rounding microtile (the documented per-target GEMM contract).
 //   * every other kernel reproduces the scalar double-precision op order
@@ -59,6 +59,47 @@ void gemm_microtile_avx2(std::int64_t kc, const float* ap, const float* b,
   _mm256_storeu_ps(acc + 40, c5);
   _mm256_storeu_ps(acc + 48, c6);
   _mm256_storeu_ps(acc + 56, c7);
+}
+
+// ---- GEMM row kernel ---------------------------------------------------------
+
+namespace {
+
+// kVecs 8-lane accumulators, one independent FMA chain per 8 columns. The
+// last vector is masked to the n - 8*(kVecs-1) valid columns: a masked-off
+// lane is never read (vmaskmovps does not fault on it) and never stored.
+template <int kVecs>
+void gemm_row_avx2_impl(std::int64_t kc, const float* a, const float* b,
+                        std::int64_t ldb, std::int64_t n, float* acc) {
+  const __m256i tail = _mm256_cmpgt_epi32(
+      _mm256_set1_epi32(static_cast<int>(n - 8 * (kVecs - 1))),
+      _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 c[kVecs];
+  for (int v = 0; v < kVecs; ++v) c[v] = _mm256_setzero_ps();
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const __m256 av = _mm256_broadcast_ss(a + kk);
+    const float* brow = b + kk * ldb;
+    for (int v = 0; v + 1 < kVecs; ++v) {
+      c[v] = _mm256_fmadd_ps(av, _mm256_loadu_ps(brow + 8 * v), c[v]);
+    }
+    c[kVecs - 1] = _mm256_fmadd_ps(
+        av, _mm256_maskload_ps(brow + 8 * (kVecs - 1), tail), c[kVecs - 1]);
+  }
+  for (int v = 0; v + 1 < kVecs; ++v) _mm256_storeu_ps(acc + 8 * v, c[v]);
+  _mm256_maskstore_ps(acc + 8 * (kVecs - 1), tail, c[kVecs - 1]);
+}
+
+}  // namespace
+
+void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
+                   std::int64_t ldb, std::int64_t n, float* acc) {
+  static_assert(kGemmRowNr == 32, "one case per 8-column vector");
+  switch ((n + 7) / 8) {
+    case 1: return gemm_row_avx2_impl<1>(kc, a, b, ldb, n, acc);
+    case 2: return gemm_row_avx2_impl<2>(kc, a, b, ldb, n, acc);
+    case 3: return gemm_row_avx2_impl<3>(kc, a, b, ldb, n, acc);
+    default: return gemm_row_avx2_impl<4>(kc, a, b, ldb, n, acc);
+  }
 }
 
 // ---- convolution tap rows ---------------------------------------------------

@@ -2,7 +2,7 @@
 // sets BLURNET_HAVE_NEON_KERNELS there); one of the two files allowed to
 // use raw intrinsics (tools/lint.py `simd-confinement`).
 //
-// Numerics mirror the AVX2 TU: the GEMM microtile uses fused
+// Numerics mirror the AVX2 TU: the GEMM microtile and row kernel use fused
 // multiply-add (vfmaq, one rounding per term — the per-target GEMM
 // contract, bitwise-modelled by linalg::sgemm_reference_fused); the tap
 // and median kernels reproduce the scalar op order exactly and are
@@ -14,6 +14,7 @@
 
 #include <arm_neon.h>
 
+#include <cmath>
 #include <cstdint>
 
 namespace blurnet::kernels::detail {
@@ -47,6 +48,30 @@ void gemm_microtile_neon(std::int64_t kc, const float* ap, const float* b,
   vst1q_f32(acc + 20, c21);
   vst1q_f32(acc + 24, c30);
   vst1q_f32(acc + 28, c31);
+}
+
+// ---- GEMM row kernel ---------------------------------------------------------
+
+void gemm_row_neon(std::int64_t kc, const float* a, const float* b,
+                   std::int64_t ldb, std::int64_t n, float* acc) {
+  // One independent fused chain per 4 columns; the n % 4 tail columns fold
+  // with std::fma, the same single rounding per term as vfmaq.
+  const std::int64_t vecs = n / 4;
+  float32x4_t c[kGemmRowNr / 4];
+  for (std::int64_t v = 0; v < vecs; ++v) c[v] = vdupq_n_f32(0.0f);
+  float tail[4] = {0.0f, 0.0f, 0.0f, 0.0f};
+  for (std::int64_t kk = 0; kk < kc; ++kk) {
+    const float av = a[kk];
+    const float* brow = b + kk * ldb;
+    for (std::int64_t v = 0; v < vecs; ++v) {
+      c[v] = vfmaq_n_f32(c[v], vld1q_f32(brow + 4 * v), av);
+    }
+    for (std::int64_t j = 4 * vecs; j < n; ++j) {
+      tail[j - 4 * vecs] = std::fma(av, brow[j], tail[j - 4 * vecs]);
+    }
+  }
+  for (std::int64_t v = 0; v < vecs; ++v) vst1q_f32(acc + 4 * v, c[v]);
+  for (std::int64_t j = 4 * vecs; j < n; ++j) acc[j] = tail[j - 4 * vecs];
 }
 
 // ---- convolution tap rows ---------------------------------------------------

@@ -95,6 +95,66 @@ static_assert(kNr == kernels::kGemmNr, "B pack width must match the microtiles")
 static_assert(kMc % kernels::kGemmMaxMr == 0,
               "panel rows must hold whole microtiles for every target");
 
+// Row path for m < mr: the dense head's batch-1 GEMV, x[1,4096] * W[4096,18],
+// would otherwise pack its one row into a zero-padded mr-row panel and fold
+// mr-1 rows of zeros. Each row of op(A) is instead folded straight against a
+// row-major op(B) by the target's row kernel, kGemmRowNr columns at a time.
+// Every output element keeps the microtile path's fold exactly: a float
+// ascending-k sum from +0 within each kKc block with the target's rounding
+// (mul+add or FMA), stored on the first block and added on later ones, in
+// ascending block order. Rows are independent, so how they are chunked
+// cannot change a result.
+void sgemm_rows(const kernels::GemmMicrokernel& mk, Trans trans_a, Trans trans_b,
+                std::int64_t m, std::int64_t n, std::int64_t k, const float* a,
+                std::int64_t lda, const float* b, std::int64_t ldb, float* c,
+                std::int64_t ldc, bool accumulate) {
+  util::parallel_for(m, [&](std::int64_t i0, std::int64_t i1) {
+    auto& scratch = pack_scratch();
+    for (std::int64_t jc = 0; jc < n; jc += kNc) {
+      const std::int64_t nc = std::min(kNc, n - jc);
+      for (std::int64_t kb = 0; kb < k; kb += kKc) {
+        const std::int64_t kc = std::min(kKc, k - kb);
+        const bool store = (kb == 0) && !accumulate;
+        // op(B)[kb.., jc..] row-major: B itself, or a transposed B packed.
+        const float* panel = b + kb * ldb + jc;
+        std::int64_t panel_ld = ldb;
+        if (trans_b == Trans::kYes) {
+          scratch.b.resize(static_cast<std::size_t>(kc * nc));
+          for (std::int64_t kk = 0; kk < kc; ++kk) {
+            for (std::int64_t j = 0; j < nc; ++j) {
+              scratch.b[static_cast<std::size_t>(kk * nc + j)] =
+                  load_b(trans_b, b, ldb, kb + kk, jc + j);
+            }
+          }
+          panel = scratch.b.data();
+          panel_ld = nc;
+        }
+        for (std::int64_t i = i0; i < i1; ++i) {
+          const float* arow = a + i * lda + kb;
+          if (trans_a == Trans::kYes) {
+            scratch.a.resize(static_cast<std::size_t>(kc));
+            for (std::int64_t kk = 0; kk < kc; ++kk) {
+              scratch.a[static_cast<std::size_t>(kk)] = load_a(trans_a, a, lda, i, kb + kk);
+            }
+            arow = scratch.a.data();
+          }
+          float* crow = c + i * ldc + jc;
+          for (std::int64_t j0 = 0; j0 < nc; j0 += kernels::kGemmRowNr) {
+            const std::int64_t jn = std::min(kernels::kGemmRowNr, nc - j0);
+            float acc[kernels::kGemmRowNr];
+            mk.row(kc, arow, panel + j0, panel_ld, jn, acc);
+            if (store) {
+              for (std::int64_t jj = 0; jj < jn; ++jj) crow[j0 + jj] = acc[jj];
+            } else {
+              for (std::int64_t jj = 0; jj < jn; ++jj) crow[j0 + jj] += acc[jj];
+            }
+          }
+        }
+      }
+    }
+  }, /*min_chunk=*/1, /*cost=*/n * k);
+}
+
 }  // namespace
 
 void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
@@ -117,6 +177,10 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
   const kernels::GemmMicrokernel& mk =
       kernels::gemm_microkernel(util::active_kernel_target());
   const std::int64_t mr = mk.mr;
+  if (m < mr) {
+    sgemm_rows(mk, trans_a, trans_b, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+    return;
+  }
 
   for (std::int64_t jc = 0; jc < n; jc += kNc) {
     const std::int64_t nc = std::min(kNc, n - jc);
@@ -148,15 +212,15 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
         }
       }
 
-      // Row microtiles are the unit of parallelism; each parallel chunk is
-      // processed in packing panels of at most kMc rows. min_chunk is a pure
-      // function of m — kMc-row chunks normally, kMr*2-row chunks when the
-      // whole problem is small (the dense head's m == batch) so it still
-      // fans out — so chunk boundaries, and therefore results, are identical
-      // for any worker count.
+      // Row microtiles are the unit of parallelism, each parallel chunk
+      // processed in packing panels of at most kMc rows. A chunk is at least
+      // one panel and at least the work floor (one tile costs mr*nc*kc
+      // MACs), so a GEMM block too small to repay a pool hand-off runs
+      // inline. Both bounds are pure functions of the shape and the target,
+      // so chunk boundaries, and therefore results, are identical for any
+      // worker count.
       const std::int64_t panel_tiles = kMc / mr;
       const std::int64_t total_tiles = (m + mr - 1) / mr;
-      const std::int64_t chunk_tiles = total_tiles >= 2 * panel_tiles ? panel_tiles : 2;
       util::parallel_for(total_tiles, [&](std::int64_t t0, std::int64_t t1) {
         auto& scratch = pack_scratch();
         for (std::int64_t tp = t0; tp < t1; tp += panel_tiles) {
@@ -192,7 +256,7 @@ void sgemm(Trans trans_a, Trans trans_b, std::int64_t m, std::int64_t n,
             }
           }
         }
-      }, /*min_chunk=*/chunk_tiles);
+      }, /*min_chunk=*/panel_tiles, /*cost=*/mr * nc * kc);
     }
   }
 }

@@ -24,11 +24,17 @@
 //     identical whenever their operands hold the same values.
 //
 // Determinism: row microtiles are distributed over util::parallel_for with
-// chunk boundaries that depend only on (m, block sizes) — the same invariant the serving
-// engine guarantees across replica counts — so results are bitwise identical
-// for any BLURNET_WORKERS value. Each worker packs its own A panels into
-// thread-local scratch and all workers read one shared packed-B panel, so a
-// warm serving thread performs no allocations here.
+// chunk boundaries that depend only on (m, block sizes, the work floor) —
+// the same invariant the serving engine guarantees across replica counts —
+// so results are bitwise identical for any BLURNET_WORKERS value. Each
+// worker packs its own A panels into thread-local scratch and all workers
+// read one shared packed-B panel, so a warm serving thread performs no
+// allocations here.
+//
+// Skinny m: with fewer rows than one microtile (m < mr, e.g. the dense head
+// at batch 1) no A panel is packed; each row is folded against op(B) by the
+// target's row kernel with the same per-element fold, so every result above
+// holds unchanged.
 #pragma once
 
 #include <cstdint>

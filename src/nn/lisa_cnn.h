@@ -123,7 +123,9 @@ class LisaCnn {
   autograd::Variable conv3_w_, conv3_b_;
   autograd::Variable fc_w_, fc_b_;
   autograd::Variable dw_weight_;         // learnable depthwise (optional)
-  tensor::Tensor fixed_kernel_;          // fixed blur kernel (optional)
+  // Fixed blur as a per-channel [C, k, k] kernel stack (optional): a non-grad
+  // leaf built once, shared by copies and frozen() views.
+  autograd::Variable fixed_stack_;
   std::int64_t flat_features_ = 0;
 };
 

@@ -112,7 +112,7 @@ tensor::Tensor filter2d_depthwise(const tensor::Tensor& x, const tensor::Tensor&
     for (std::int64_t p = p0; p < p1; ++p) {
       filter_plane(x.data() + p * h * w, out.data() + p * h * w, h, w, kernel.data(), kh, kw);
     }
-  }, /*min_chunk=*/1);
+  }, /*min_chunk=*/1, /*cost=*/h * w * kh * kw);
   return out;
 }
 

@@ -55,32 +55,27 @@ void reset_parallel_workers() {
 
 void parallel_for(std::int64_t n,
                   const std::function<void(std::int64_t, std::int64_t)>& fn,
-                  std::int64_t min_chunk) {
+                  std::int64_t min_chunk, std::int64_t cost) {
   if (n <= 0) return;
-  if (min_chunk < 1) min_chunk = 1;
-  const int workers = parallel_workers();
-  if (workers <= 1 || n < 2 * min_chunk || ThreadPool::on_worker_thread()) {
-    fn(0, n);
-    return;
-  }
-  // Oversplit relative to the lane count so uneven chunks load-balance, but
-  // derive the chunk size from n/min_chunk alone: the split (and therefore
-  // any accumulation order inside fn) is identical for every worker count.
-  const std::int64_t wanted = (n + min_chunk - 1) / min_chunk;
-  const std::int64_t chunk = std::max<std::int64_t>(
-      min_chunk, (n + wanted - 1) / wanted);
+  std::int64_t chunk = std::max<std::int64_t>(min_chunk, 1);
+  if (cost > 0) chunk = std::max(chunk, (kWorkFloor + cost - 1) / cost);
   const std::int64_t chunks = (n + chunk - 1) / chunk;
   if (chunks <= 1) {
     fn(0, n);
     return;
   }
+  const auto run_chunk = [&](std::int64_t c) {
+    const std::int64_t begin = c * chunk;
+    fn(begin, std::min<std::int64_t>(n, begin + chunk));
+  };
+  const int workers = parallel_workers();
+  if (workers <= 1 || ThreadPool::on_worker_thread()) {
+    for (std::int64_t c = 0; c < chunks; ++c) run_chunk(c);
+    return;
+  }
   auto& pool = ThreadPool::instance();
   pool.ensure_parallelism(workers);
-  pool.run(chunks, [&](std::int64_t c) {
-    const std::int64_t begin = c * chunk;
-    const std::int64_t end = std::min<std::int64_t>(n, begin + chunk);
-    if (begin < end) fn(begin, end);
-  });
+  pool.run(chunks, run_chunk);
 }
 
 }  // namespace blurnet::util

@@ -116,6 +116,7 @@ void ThreadPool::run(std::int64_t chunks, const std::function<void(std::int64_t)
     InRunScope() { t_in_run = true; }
     ~InRunScope() { t_in_run = false; }
   } in_run_scope;
+  jobs_dispatched_.fetch_add(1, std::memory_order_relaxed);
 
   {
     std::lock_guard<DebugMutex> lock(mutex_);

@@ -52,6 +52,13 @@ class ThreadPool {
   /// True when the current thread is one of the pool's background workers.
   static bool on_worker_thread();
 
+  /// Jobs handed to background workers since the pool was created. run()
+  /// calls that execute inline (nested, concurrent, or no workers) do not
+  /// count. A read-only probe for tests of the parallel_for work floor.
+  std::int64_t jobs_dispatched() const {
+    return jobs_dispatched_.load(std::memory_order_relaxed);
+  }
+
  private:
   explicit ThreadPool(int parallelism);
 
@@ -79,6 +86,7 @@ class ThreadPool {
   std::int64_t active_workers_ = 0;
   std::exception_ptr job_error_;
   bool stop_ = false;
+  std::atomic<std::int64_t> jobs_dispatched_{0};
 
   // Serializes producers: run() try-locks this and falls back to inline
   // execution when another parallel region is already using the workers.

@@ -253,6 +253,14 @@ std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> gemm_shapes() 
   };
 }
 
+// The dense head's shapes, which run the m < mr row path: the batch-1 and
+// batch-2 forward x[m,4096] * W[4096,18] (16 k-blocks, an 18-column tail),
+// a small-k 7-row forward, and the NT backward dX = G[3,18] * W^T (n past
+// kNc and a row-kernel column group).
+std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> dense_head_shapes() {
+  return {{1, 18, 4096}, {2, 18, 4096}, {7, 18, 300}, {3, 4096, 18}};
+}
+
 // Every trans variant must match the matching serial naive reference
 // elementwise and exactly: sgemm_reference for the scalar target (separate
 // mul+add roundings), sgemm_reference_fused for the fused avx2/neon
@@ -261,7 +269,9 @@ std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> gemm_shapes() 
 void expect_gemm_matches_reference(const char* label) {
   const bool fused =
       kernels::gemm_microkernel(util::active_kernel_target()).fused;
-  for (const auto& [m, n, k] : gemm_shapes()) {
+  auto shapes = gemm_shapes();
+  for (const auto& shape : dense_head_shapes()) shapes.push_back(shape);
+  for (const auto& [m, n, k] : shapes) {
     const Tensor a = random_tensor(m, k, static_cast<std::uint64_t>(m * 100 + k));
     const Tensor at = tensor::transpose2d(a);
     const Tensor b = random_tensor(k, n, static_cast<std::uint64_t>(n * 100 + k + 1));
@@ -364,22 +374,29 @@ TEST(Gemm, TransposeIdentityIsBitwise) {
 // BLURNET_WORKERS value must produce bit-identical output — the same
 // determinism contract the serving engine proves across replica counts.
 void expect_gemm_worker_count_determinism(const char* label) {
-  const std::int64_t m = 70, n = 45, k = 300;
-  const Tensor a = random_tensor(m, k, 11);
-  const Tensor b = random_tensor(k, n, 12);
-  util::set_parallel_workers(1);
-  const Tensor nn1 = tensor::matmul(a, b);
-  const Tensor tn1 = tensor::matmul_tn(tensor::transpose2d(a), b);
-  const Tensor nt1 = tensor::matmul_nt(a, tensor::transpose2d(b));
-  for (const int workers : {2, 4}) {
-    util::set_parallel_workers(workers);
-    const Tensor nn = tensor::matmul(a, b);
-    const Tensor tn = tensor::matmul_tn(tensor::transpose2d(a), b);
-    const Tensor nt = tensor::matmul_nt(a, tensor::transpose2d(b));
-    for (std::int64_t i = 0; i < nn1.numel(); ++i) {
-      ASSERT_EQ(nn1[i], nn[i]) << label << " NN, workers=" << workers << " elem " << i;
-      ASSERT_EQ(tn1[i], tn[i]) << label << " TN, workers=" << workers << " elem " << i;
-      ASSERT_EQ(nt1[i], nt[i]) << label << " NT, workers=" << workers << " elem " << i;
+  auto shapes = dense_head_shapes();
+  shapes.insert(shapes.begin(), {70, 45, 300});
+  for (const auto& [m, n, k] : shapes) {
+    const Tensor a = random_tensor(m, k, 11);
+    const Tensor b = random_tensor(k, n, 12);
+    util::set_parallel_workers(1);
+    const Tensor nn1 = tensor::matmul(a, b);
+    const Tensor tn1 = tensor::matmul_tn(tensor::transpose2d(a), b);
+    const Tensor nt1 = tensor::matmul_nt(a, tensor::transpose2d(b));
+    for (const int workers : {2, 4}) {
+      util::set_parallel_workers(workers);
+      const Tensor nn = tensor::matmul(a, b);
+      const Tensor tn = tensor::matmul_tn(tensor::transpose2d(a), b);
+      const Tensor nt = tensor::matmul_nt(a, tensor::transpose2d(b));
+      for (std::int64_t i = 0; i < nn1.numel(); ++i) {
+        ASSERT_EQ(nn1[i], nn[i]) << label << " NN (" << m << "," << n << "," << k
+                                 << "), workers=" << workers << " elem " << i;
+        ASSERT_EQ(tn1[i], tn[i]) << label << " TN (" << m << "," << n << "," << k
+                                 << "), workers=" << workers << " elem " << i;
+        ASSERT_EQ(nt1[i], nt[i]) << label << " NT (" << m << "," << n << "," << k
+                                 << "), workers=" << workers << " elem " << i;
+      }
+      if (::testing::Test::HasFatalFailure()) break;
     }
     if (::testing::Test::HasFatalFailure()) break;
   }
@@ -445,6 +462,53 @@ TEST(KernelDispatch, GemmNanAndInfPropagateUnderEveryTarget) {
       const Tensor nn = tensor::matmul(a, b);
       EXPECT_TRUE(std::isnan(nn[0]))
           << util::kernel_target_name(target) << ", poison=" << poison;
+    }
+  }
+}
+
+// The dense-head shapes on the row path: a zero A against a B holding one
+// poisoned element must turn exactly that column of C into NaN, in every
+// trans variant, with and without accumulation, under every target. The
+// poison sits in the last k-block and the last column, which the avx2 row
+// kernel reads through its masked tail vector.
+TEST(KernelDispatch, GemmRowPathPropagatesNanAndInfUnderEveryTarget) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const auto target : available_kernel_targets()) {
+    ScopedKernelTarget guard(target);
+    for (const auto& [m, n, k] : dense_head_shapes()) {
+      for (const float poison : {nan, inf}) {
+        const Tensor a(Shape::mat(m, k));
+        Tensor b = random_tensor(k, n, 51);
+        b[(k - 1) * n + (n - 1)] = poison;
+        const Tensor at = tensor::transpose2d(a);
+        const Tensor bt = tensor::transpose2d(b);
+        for (const bool accumulate : {false, true}) {
+          auto check = [&](Trans ta, Trans tb, const float* pa, std::int64_t lda,
+                           const float* pb, std::int64_t ldb, const char* tag) {
+            SCOPED_TRACE(tag);
+            Tensor c = Tensor::full(Shape::mat(m, n), 1.0f);
+            sgemm(ta, tb, m, n, k, pa, lda, pb, ldb, c.data(), n, accumulate);
+            for (std::int64_t i = 0; i < m; ++i) {
+              for (std::int64_t j = 0; j < n; ++j) {
+                const float got = c[i * n + j];
+                if (j == n - 1) {
+                  ASSERT_TRUE(std::isnan(got));
+                } else {
+                  ASSERT_EQ(got, accumulate ? 1.0f : 0.0f);
+                }
+              }
+            }
+          };
+          SCOPED_TRACE(::testing::Message()
+                       << util::kernel_target_name(target) << " shape (" << m << "," << n
+                       << "," << k << ") poison=" << poison << " acc=" << accumulate);
+          check(Trans::kNo, Trans::kNo, a.data(), k, b.data(), n, "NN");
+          check(Trans::kNo, Trans::kYes, a.data(), k, bt.data(), k, "NT");
+          check(Trans::kYes, Trans::kNo, at.data(), m, b.data(), n, "TN");
+          if (::testing::Test::HasFatalFailure()) return;
+        }
+      }
     }
   }
 }

@@ -19,6 +19,7 @@
 #include "src/util/arena.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
+#include "src/util/thread_pool.h"
 
 namespace blurnet::serve {
 namespace {
@@ -97,6 +98,42 @@ TEST(Engine, DeterministicForAnyWorkerCount) {
     ASSERT_EQ(result.size(), reference.size());
     for (std::size_t i = 0; i < result.size(); ++i) {
       expect_bitwise_equal(result[i], reference[i], "workers " + std::to_string(workers));
+    }
+  }
+  util::reset_parallel_workers();
+}
+
+// The parallel_for work floor on the serving path: with 4 pool lanes, a warm
+// batch-1 classify of the paper-size model fans nothing out (every region is
+// under one floor), a batch-64 classify does, and neither changes a logit.
+TEST(Engine, BatchOneForwardDispatchesNoPoolJobs) {
+  EngineConfig config;  // paper-size LisaCnn
+  config.defense = {nn::FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  InferenceEngine engine(config);
+  const std::string median3 = "median3";
+  engine.register_transform_variant(median3, defense::TransformSpec::median(3));
+  const auto one = random_batch(1, 101);
+  const auto batch = random_batch(64, 103);
+  auto& pool = util::ThreadPool::instance();
+  for (const std::string& variant : {std::string(kDefendedVariant),
+                                     std::string(kBaseVariant), median3}) {
+    const Options options{variant};
+    util::set_parallel_workers(1);
+    const auto one_serial = engine.classify_logits(one, options);
+    const auto batch_serial = engine.classify_logits(batch, options);
+    util::set_parallel_workers(4);
+    pool.ensure_parallelism(4);
+    engine.classify(one, options);  // warm
+    const std::int64_t before = pool.jobs_dispatched();
+    const auto one_parallel = engine.classify_logits(one, options);
+    EXPECT_EQ(pool.jobs_dispatched(), before) << variant;
+    const auto batch_parallel = engine.classify_logits(batch, options);
+    EXPECT_GE(pool.jobs_dispatched(), before + 1) << variant;
+    for (std::int64_t i = 0; i < one_serial.numel(); ++i) {
+      ASSERT_EQ(one_serial[i], one_parallel[i]) << variant << " b1 elem " << i;
+    }
+    for (std::int64_t i = 0; i < batch_serial.numel(); ++i) {
+      ASSERT_EQ(batch_serial[i], batch_parallel[i]) << variant << " b64 elem " << i;
     }
   }
   util::reset_parallel_workers();

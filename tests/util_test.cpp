@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -198,6 +199,61 @@ TEST(Parallel, CoversRangeOnceSerialAndParallel) {
     }, /*min_chunk=*/16);
     for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   }
+  reset_parallel_workers();
+}
+
+// The work floor: chunk ranges are a pure function of (n, min_chunk, cost)
+// and fn sees exactly those ranges at any worker count — one worker runs
+// them inline in order, a pool in any order.
+TEST(Parallel, ChunkRangesDependOnlyOnShapeAndCost) {
+  struct Case {
+    std::int64_t n, min_chunk, cost;
+  };
+  const Case cases[] = {
+      {1000, 16, 0},                      // no cost: min_chunk items
+      {1000, 1, 0},                       // no cost, one item per chunk
+      {16, 1, 25600},                     // batch-1 blur planes: under one floor
+      {1024, 1, 25600},                   // batch-64 blur planes
+      {64, 1, 1228800},                   // batch-64 conv1 images
+      {7, 3, kWorkFloor},                 // one floor per item
+      {5, 1, kWorkFloor * 4},             // items above the floor
+      {100, 40, kWorkFloor / 100},        // min_chunk below the floor's chunk
+  };
+  for (const Case& c : cases) {
+    std::int64_t chunk = std::max<std::int64_t>(c.min_chunk, 1);
+    if (c.cost > 0) chunk = std::max(chunk, (kWorkFloor + c.cost - 1) / c.cost);
+    std::vector<std::pair<std::int64_t, std::int64_t>> expected;
+    for (std::int64_t begin = 0; begin < c.n; begin += chunk) {
+      expected.emplace_back(begin, std::min(c.n, begin + chunk));
+    }
+    for (const int workers : {1, 2, 4}) {
+      set_parallel_workers(workers);
+      std::mutex mutex;
+      std::vector<std::pair<std::int64_t, std::int64_t>> seen;
+      parallel_for(c.n, [&](std::int64_t lo, std::int64_t hi) {
+        std::lock_guard<std::mutex> lock(mutex);
+        seen.emplace_back(lo, hi);
+      }, c.min_chunk, c.cost);
+      std::sort(seen.begin(), seen.end());
+      EXPECT_EQ(seen, expected) << "n=" << c.n << " min_chunk=" << c.min_chunk
+                                << " cost=" << c.cost << " workers=" << workers;
+    }
+  }
+  reset_parallel_workers();
+}
+
+TEST(Parallel, RangeUnderOneFloorDispatchesNoJob) {
+  set_parallel_workers(4);
+  auto& pool = ThreadPool::instance();
+  pool.ensure_parallelism(4);
+  std::atomic<std::int64_t> covered{0};
+  const auto count = [&](std::int64_t lo, std::int64_t hi) { covered += hi - lo; };
+  const std::int64_t before = pool.jobs_dispatched();
+  parallel_for(16, count, /*min_chunk=*/1, /*cost=*/kWorkFloor / 16);
+  EXPECT_EQ(pool.jobs_dispatched(), before);
+  parallel_for(16, count, /*min_chunk=*/1, /*cost=*/kWorkFloor);
+  EXPECT_EQ(pool.jobs_dispatched(), before + 1);
+  EXPECT_EQ(covered.load(), 32);
   reset_parallel_workers();
 }
 

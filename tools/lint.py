@@ -31,6 +31,11 @@ linters cannot express:
                       — everything else goes through kernels/dispatch.h, which
                       is what keeps the scalar fallback path buildable and the
                       dispatch contract auditable.
+  parallel-cost       every `parallel_for` call in src passes all four
+                      arguments (n, fn, min_chunk, cost): the per-item cost
+                      is what lets the work floor keep a range too small to
+                      repay a pool hand-off inline, and a call that omits it
+                      silently fans out however little work it carries.
   grad-mode           no `grad_enabled()` calls in src: ops learn the mode
                       only through make_op's needs_graph(), the one "build a
                       graph node?" decision. An op that branches on the mode
@@ -320,6 +325,55 @@ def check_simd_confinement(path: Path, text: str, rel: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# parallel-cost
+
+PARALLEL_FOR_CALL = re.compile(r"\bparallel_for\s*\(")
+PARALLEL_FOR_ARGS = 4  # n, fn, min_chunk, cost
+
+
+def top_level_args(text: str, open_paren: int):
+    """Count the top-level comma-separated arguments of the call whose '('
+    is at `open_paren`; None when the parentheses never close."""
+    depth, args, nonempty = 0, 1, False
+    for i in range(open_paren, len(text)):
+        ch = text[i]
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+            if depth == 0:
+                return args if nonempty else 0
+        elif ch == "," and depth == 1:
+            args += 1
+        if depth >= 1 and i > open_paren and not ch.isspace():
+            nonempty = True
+    return None
+
+
+def check_parallel_cost(path: Path, text: str) -> list:
+    findings = []
+    stripped = strip_comments_and_strings(text)
+    raw_lines = text.split("\n")
+    for match in PARALLEL_FOR_CALL.finditer(stripped):
+        line = stripped.count("\n", 0, match.start())
+        args = top_level_args(stripped, match.end() - 1)
+        if args is None or args >= PARALLEL_FOR_ARGS:
+            continue
+        if allowed(raw_lines[line], "parallel-cost"):
+            continue
+        findings.append(
+            Finding(
+                "parallel-cost",
+                path,
+                line + 1,
+                "parallel_for without a per-item cost — pass min_chunk and "
+                "cost so the work floor can keep small ranges inline",
+            )
+        )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # driver
 
 
@@ -331,6 +385,8 @@ def lint_file(path: Path, rel: str, text: str) -> list:
         findings += check_reserve_bounds(path, text)
     findings += check_banned(path, text, rel)
     findings += check_simd_confinement(path, text, rel)
+    if rel.startswith("src/"):
+        findings += check_parallel_cost(path, text)
     return findings
 
 
@@ -503,6 +559,26 @@ SELF_TESTS = [
         "src/net/server.h",
         "  std::thread loop_;  // lint:allow(net-thread) the event loop\n"
         "  void wait() { std::this_thread::yield(); }\n",
+        None,
+    ),
+    (
+        "parallel-for-without-cost",
+        "src/signal/kernels.cpp",
+        "void f(std::int64_t n) {\n"
+        "  util::parallel_for(n, [&](std::int64_t p0, std::int64_t p1) {\n"
+        "    g(p0, std::min(p1, n));\n"
+        "  }, /*min_chunk=*/1);\n}\n",
+        "parallel-cost",
+    ),
+    (
+        "parallel-for-with-cost-is-clean",
+        "src/signal/kernels.cpp",
+        "void parallel_for(std::int64_t n, const Fn& fn, std::int64_t min_chunk = 256,\n"
+        "                  std::int64_t cost = 0);\n"
+        "void f(std::int64_t n) {\n"
+        "  util::parallel_for(n, [&](std::int64_t p0, std::int64_t p1) {\n"
+        "    g(p0, std::min(p1, n));\n"
+        "  }, /*min_chunk=*/1, /*cost=*/h * w);\n}\n",
         None,
     ),
     (
