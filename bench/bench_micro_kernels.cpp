@@ -4,6 +4,7 @@
 // persistent-pool parallel runtime, and the batched inference engine.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <future>
 #include <vector>
 
@@ -64,6 +65,9 @@ void BM_Conv2dBackward(benchmark::State& state) {
 }
 BENCHMARK(BM_Conv2dBackward)->Arg(1)->Arg(8);
 
+// signal::filter2d_depthwise (the border-renormalizing blur the spectrum
+// figures and input-side filters use); BM_DepthwiseConv times the model's
+// depthwise layer.
 void BM_DepthwiseBlur(benchmark::State& state) {
   const auto kernel_size = state.range(0);
   const auto x = random_nchw(8, 8, 32, 32);
@@ -73,6 +77,53 @@ void BM_DepthwiseBlur(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DepthwiseBlur)->Arg(3)->Arg(5)->Arg(7);
+
+// The BlurNet layer itself: autograd's depthwise 5x5 box blur over the paper
+// model's [n, 16, 32, 32] conv1 maps, forward alone (adjoint:0, what a
+// classify runs) and forward plus the input-gradient adjoint (adjoint:1,
+// what an attack step runs). One worker, so the time is the kernel's.
+void BM_DepthwiseConv(benchmark::State& state) {
+  util::set_parallel_workers(1);
+  const auto batch = state.range(0);
+  const bool adjoint = state.range(1) != 0;
+  const tensor::Tensor x = random_nchw(batch, 16, 32, 32);
+  tensor::Tensor stack(tensor::Shape{16, 5, 5});
+  const tensor::Tensor box = signal::make_blur_kernel(5);
+  for (std::int64_t c = 0; c < 16; ++c) {
+    std::copy(box.data(), box.data() + 25, stack.data() + c * 25);
+  }
+  const auto w = autograd::Variable::constant(stack);
+  for (auto _ : state) {
+    if (adjoint) {
+      auto xv = autograd::Variable::leaf(x, true);
+      autograd::backward(autograd::sum(autograd::depthwise_conv2d_same(xv, w, {})));
+      benchmark::DoNotOptimize(xv.grad().data());
+    } else {
+      const auto xv = autograd::Variable::constant(x);
+      benchmark::DoNotOptimize(autograd::depthwise_conv2d_same(xv, w, {}).value().data());
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+  util::reset_parallel_workers();
+}
+BENCHMARK(BM_DepthwiseConv)->ArgNames({"batch", "adjoint"})->ArgsProduct({{1, 64}, {0, 1}});
+
+// One image's im2col for each paper conv, on its padded input: 0 = conv1
+// (3x36x36, 5x5, stride 1), 1 = conv2 (16x36x36, 5x5, stride 2), 2 = conv3
+// (32x18x18, 3x3, stride 2).
+void BM_Im2col(benchmark::State& state) {
+  struct Conv { std::int64_t c, hw; int k, stride; };
+  const Conv convs[] = {{3, 36, 5, 1}, {16, 36, 5, 2}, {32, 18, 3, 2}};
+  const Conv& cv = convs[state.range(0)];
+  const tensor::Tensor x = random_nchw(1, cv.c, cv.hw, cv.hw);
+  const std::int64_t o = tensor::conv_out_size(cv.hw, cv.k, cv.stride);
+  std::vector<float> cols(static_cast<std::size_t>(cv.c * cv.k * cv.k * o * o));
+  for (auto _ : state) {
+    tensor::im2col_into(x.data(), cv.c, cv.hw, cv.hw, cv.k, cv.k, cv.stride, cols.data());
+    benchmark::DoNotOptimize(cols.data());
+  }
+}
+BENCHMARK(BM_Im2col)->DenseRange(0, 2);
 
 // Many small planes, repeated: the workload that exposed the per-call
 // thread-spawn overhead of the seed runtime. The parallel region is tiny, so
@@ -379,6 +430,25 @@ void BM_LisaCnnInference(benchmark::State& state) {
   util::reset_parallel_workers();
 }
 BENCHMARK(BM_LisaCnnInference)
+    ->ArgNames({"batch", "workers"})
+    ->ArgsProduct({{1, 16, 64}, {1, 4}});
+
+// The same curve for the paper-size defended model (16/32/64 filters, 5x5
+// box blur after layer 1): the model blurnetd's "defended" variant serves,
+// and the only one here that runs the blur.
+void BM_LisaCnnInferenceDefended(benchmark::State& state) {
+  util::set_parallel_workers(static_cast<int>(state.range(1)));
+  nn::LisaCnnConfig config;
+  config.fixed_filter = {nn::FilterPlacement::kAfterLayer1, 5, signal::KernelKind::kBox};
+  const nn::LisaCnn model(config);
+  const auto x = random_nchw(state.range(0), 3, 32, 32);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(model.logits(x).data());
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  util::reset_parallel_workers();
+}
+BENCHMARK(BM_LisaCnnInferenceDefended)
     ->ArgNames({"batch", "workers"})
     ->ArgsProduct({{1, 16, 64}, {1, 4}});
 

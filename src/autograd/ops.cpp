@@ -31,7 +31,8 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
 // image into `padded`, im2cols it into `cols`, runs the GEMM and applies the
 // epilogue while the image's buffers are still in cache (about 0.3-0.4 MB for
 // the paper model's conv1/conv2). The depthwise forward and its adjoint pad
-// one plane at a time into `padded`, and conv2d's input-gradient backward
+// one plane at a time into `padded` and hand kernels::tap_plane `wide` for
+// its widened rows, and conv2d's input-gradient backward
 // computes each image's column gradient into `cols`. The buffers only grow, so
 // a warm thread allocates nothing here; the GEMM pack panels live in matching
 // per-thread scratch inside linalg::sgemm. No backward reads a forward's
@@ -40,6 +41,7 @@ void require_same_shape(const Variable& a, const Variable& b, const char* op) {
 struct ConvScratch {
   std::vector<float> padded;
   std::vector<float> cols;
+  std::vector<double> wide;
 };
 
 ConvScratch& conv_scratch() {
@@ -47,8 +49,9 @@ ConvScratch& conv_scratch() {
   return scratch;
 }
 
-/// At least `size` floats of `buffer`; grows it, never shrinks or clears it.
-float* scratch_floats(std::vector<float>& buffer, std::int64_t size) {
+/// At least `size` elements of `buffer`; grows it, never shrinks or clears it.
+template <typename T>
+T* scratch_data(std::vector<T>& buffer, std::int64_t size) {
   if (buffer.size() < static_cast<std::size_t>(size)) {
     buffer.resize(static_cast<std::size_t>(size));
   }
@@ -317,12 +320,12 @@ Variable conv2d_impl(const char* name, const Variable& x, const Variable& w,
     for (std::int64_t in = n0; in < n1; ++in) {
       const float* image = xdata + in * c * h * wdim;
       if (pad > 0) {
-        float* padded = scratch_floats(scratch.padded, c * hp * wp);
+        float* padded = scratch_data(scratch.padded, c * hp * wp);
         tensor::pad2d_into(image, c, h, wdim, pad, pad, padded);
         image = padded;
       }
       float* cols = kept_cols ? kept_cols->data() + in * patch * ohw
-                              : scratch_floats(scratch.cols, patch * ohw);
+                              : scratch_data(scratch.cols, patch * ohw);
       tensor::im2col_into(image, c, hp, wp, kh, kw, stride, cols);
       float* o = out.data() + in * f * ohw;
       linalg::sgemm_nn(f, ohw, patch, wdata, cols, o, /*accumulate=*/false);
@@ -372,7 +375,7 @@ Variable conv2d_impl(const char* name, const Variable& x, const Variable& w,
           Tensor dx(x.value().shape());
           const float* wdata2 = w.value().data();
           util::parallel_for(n, [&](std::int64_t n0, std::int64_t n1) {
-            float* dcols = scratch_floats(conv_scratch().cols, patch * ohw);
+            float* dcols = scratch_data(conv_scratch().cols, patch * ohw);
             for (std::int64_t in = n0; in < n1; ++in) {
               linalg::sgemm_tn(patch, ohw, f, wdata2, g.data() + in * f * ohw, dcols,
                                /*accumulate=*/false);
@@ -420,20 +423,19 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
   const float* xv = x.value().data();
   const float* wv = w.value().data();
   const float* bias = b.defined() ? b.value().data() : nullptr;
-  // The per-row tap loop is kernel-dispatched; every target keeps the double
+  // The plane's tap loop is kernel-dispatched; every target keeps the double
   // accumulator and ascending (fy, fx) tap order, so results are bitwise
   // identical across targets.
-  const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
+  const kernels::TapPlaneFn taps = kernels::tap_plane(util::active_kernel_target());
   util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
-    float* padded = scratch_floats(conv_scratch().padded, hp * wp);
+    auto& scratch = conv_scratch();
+    float* padded = scratch_data(scratch.padded, hp * wp);
+    double* wide = scratch_data(scratch.wide, kernels::tap_plane_scratch(h, wdim, kh, kw));
     for (std::int64_t p = p0; p < p1; ++p) {
       const std::int64_t ic = p % c;
       tensor::pad2d_into(xv + p * h * wdim, 1, h, wdim, ph, pw, padded);
-      const float* ker = wv + ic * kh * kw;
       float* dst = out.data() + p * h * wdim;
-      for (std::int64_t y = 0; y < h; ++y) {
-        taps(padded + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
-      }
+      taps(padded, wp, wv + ic * kh * kw, kh, kw, dst, wdim, h, wdim, wide);
       if (bias != nullptr) {
         for (std::int64_t i = 0; i < h * wdim; ++i) dst[i] += bias[ic];
       }
@@ -476,7 +478,7 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
         if (x.requires_grad()) {
           // Gather adjoint: dx is the gradient, each plane zero-padded into
           // scratch inside the parallel loop, correlated with the
-          // 180-degree-rotated kernel through the forward's tap rows (double
+          // 180-degree-rotated kernel through the forward's tap plane (double
           // accumulator, ascending rotated taps), so it is bitwise equal
           // across kernel targets. The adjoint of a k/2 "same" pad pads
           // k-1-k/2 rows above: an odd kernel reads the symmetric pad as is,
@@ -493,17 +495,16 @@ Variable depthwise_conv2d_same(const Variable& x, const Variable& w, const Varia
             for (int i = 0; i < kh * kw; ++i) rot[i] = ker[kh * kw - 1 - i];
           }
           Tensor dx(x.value().shape());
-          const kernels::TapRowFn taps = kernels::tap_row(util::active_kernel_target());
+          const kernels::TapPlaneFn taps = kernels::tap_plane(util::active_kernel_target());
           util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
-            float* padded = scratch_floats(conv_scratch().padded, hp * wp);
+            auto& scratch = conv_scratch();
+            float* padded = scratch_data(scratch.padded, hp * wp);
+            double* wide =
+                scratch_data(scratch.wide, kernels::tap_plane_scratch(h, wdim, kh, kw));
             for (std::int64_t p = p0; p < p1; ++p) {
               tensor::pad2d_into(g.data() + p * h * wdim, 1, h, wdim, ph, pw, padded);
-              const float* src = padded + skip;
-              const float* ker = rotated.data() + (p % c) * kh * kw;
-              float* dst = dx.data() + p * h * wdim;
-              for (std::int64_t y = 0; y < h; ++y) {
-                taps(src + y * wp, wp, ker, kh, kw, dst + y * wdim, wdim);
-              }
+              taps(padded + skip, wp, rotated.data() + (p % c) * kh * kw, kh, kw,
+                   dx.data() + p * h * wdim, wdim, h, wdim, wide);
             }
           }, /*min_chunk=*/1, /*cost=*/h * wdim * kh * kw);
           x.node()->accumulate_grad(dx);

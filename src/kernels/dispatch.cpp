@@ -45,17 +45,23 @@ void gemm_row_scalar(std::int64_t kc, const float* a, const float* b,
   for (std::int64_t j = 0; j < n; ++j) acc[j] = local[j];
 }
 
-void tap_row_scalar(const float* src, std::int64_t stride, const float* ker,
-                    int kh, int kw, float* dst, std::int64_t count) {
-  for (std::int64_t i = 0; i < count; ++i) {
-    double acc = 0.0;
-    for (int fy = 0; fy < kh; ++fy) {
-      const float* row = src + fy * stride + i;
-      for (int fx = 0; fx < kw; ++fx) {
-        acc += static_cast<double>(ker[fy * kw + fx]) * row[fx];
+void tap_plane_scalar(const float* src, std::int64_t src_stride,
+                      const float* ker, int kh, int kw, float* dst,
+                      std::int64_t dst_stride, std::int64_t rows,
+                      std::int64_t count, double* /*wide*/) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    const float* in = src + r * src_stride;
+    float* out = dst + r * dst_stride;
+    for (std::int64_t i = 0; i < count; ++i) {
+      double acc = 0.0;
+      for (int fy = 0; fy < kh; ++fy) {
+        const float* row = in + fy * src_stride + i;
+        for (int fx = 0; fx < kw; ++fx) {
+          acc += static_cast<double>(ker[fy * kw + fx]) * row[fx];
+        }
       }
+      out[i] = static_cast<float>(acc);
     }
-    dst[i] = static_cast<float>(acc);
   }
 }
 
@@ -145,24 +151,24 @@ const GemmMicrokernel& gemm_microkernel(util::KernelTarget target) {
   return kGemmScalar;
 }
 
-TapRowFn tap_row(util::KernelTarget target) {
+TapPlaneFn tap_plane(util::KernelTarget target) {
   switch (target) {
     case util::KernelTarget::kAvx2:
 #if defined(BLURNET_HAVE_AVX2_KERNELS)
-      return detail::tap_row_avx2;
+      return detail::tap_plane_avx2;
 #else
       break;
 #endif
     case util::KernelTarget::kNeon:
 #if defined(BLURNET_HAVE_NEON_KERNELS)
-      return detail::tap_row_neon;
+      return detail::tap_plane_neon;
 #else
       break;
 #endif
     case util::KernelTarget::kScalar:
       break;
   }
-  return tap_row_scalar;
+  return tap_plane_scalar;
 }
 
 WarpRowFn warp_row(util::KernelTarget target) {

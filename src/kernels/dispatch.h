@@ -13,9 +13,10 @@
 //     (one rounding per term). Within one target results are bitwise
 //     deterministic; across targets GEMM low bits may differ. The fused
 //     targets are bitwise-modelled by linalg::sgemm_reference_fused.
-//   * everything else (tap rows, warp rows, median3, dct8x8) reproduces
+//   * everything else (tap planes, warp rows, median3, dct8x8) reproduces
 //     the scalar double-accumulation order exactly and is bitwise equal
-//     to scalar on every target.
+//     to scalar on every target (tap_plane's FMA argument is at its
+//     declaration).
 //
 // A kernel accessor may return nullptr for a target with no specialized
 // implementation (e.g. warp on neon): callers must fall back to their
@@ -66,19 +67,43 @@ struct GemmMicrokernel {
 /// or 4 (neon).
 const GemmMicrokernel& gemm_microkernel(util::KernelTarget target);
 
-// ---- convolution tap rows ---------------------------------------------------
+// ---- convolution tap planes -------------------------------------------------
 
-/// dst[i] = (float) sum over (fy<kh, fx<kw), ascending, of
-///          (double)ker[fy*kw + fx] * src[fy*stride + i + fx]
-/// for i in [0, count). Exactly the interior loop of signal::filter_plane
-/// and autograd's padded depthwise forward: double accumulator, taps in
-/// ascending (fy, fx) order, one final round to float.
-using TapRowFn = void (*)(const float* src, std::int64_t stride,
-                          const float* ker, int kh, int kw, float* dst,
-                          std::int64_t count);
+/// dst[r*dst_stride + i] = (float) sum over (fy<kh, fx<kw), ascending, of
+///     (double)ker[fy*kw + fx] * src[(r + fy)*src_stride + i + fx]
+/// for r in [0, rows), i in [0, count). Exactly the interior of
+/// signal::filter_plane and autograd's padded depthwise forward and gather
+/// adjoint: each output pixel folds its taps into a double accumulator that
+/// starts at +0, in ascending (fy, fx) order, and rounds to float once.
+/// `src` must hold rows + kh - 1 rows of count + kw - 1 readable floats.
+///
+/// `wide` is caller scratch of tap_plane_scratch(rows, count, kh, kw)
+/// doubles (per-thread, so a warm caller allocates nothing; the kernels
+/// never allocate). A target may use it to widen the kernel and each input
+/// row to double once, instead of once per tap; others ignore it.
+///
+/// Bitwise equality across targets. The AVX2 target accumulates with
+/// hardware FMA over independent 4-pixel chains, where scalar and NEON
+/// multiply then add. Both give the same bits: a product of two floats
+/// widened to double is exact (24 + 24 significand bits fit in 53, and no
+/// float product over- or underflows a double), so fma(w, x, acc) and
+/// acc + w*x round the same exact sum once. Zero signs agree too: the fold
+/// starts at +0, so a pixel is -0 on no target. NaN stays NaN, but which
+/// NaN (payload and sign) propagates is not part of the contract.
+using TapPlaneFn = void (*)(const float* src, std::int64_t src_stride,
+                            const float* ker, int kh, int kw, float* dst,
+                            std::int64_t dst_stride, std::int64_t rows,
+                            std::int64_t count, double* wide);
+
+/// Doubles of `wide` scratch one tap_plane call needs: the widened kernel
+/// plus the widened input rows.
+inline std::int64_t tap_plane_scratch(std::int64_t rows, std::int64_t count,
+                                      int kh, int kw) {
+  return std::int64_t{kh} * kw + (rows + kh - 1) * (count + kw - 1);
+}
 
 /// Never null.
-TapRowFn tap_row(util::KernelTarget target);
+TapPlaneFn tap_plane(util::KernelTarget target);
 
 // ---- affine warp rows -------------------------------------------------------
 

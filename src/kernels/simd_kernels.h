@@ -29,8 +29,10 @@ void gemm_microtile_avx2(std::int64_t kc, const float* ap, const float* b,
                          std::int64_t ldb, float* acc);
 void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
                    std::int64_t ldb, std::int64_t n, float* acc);
-void tap_row_avx2(const float* src, std::int64_t stride, const float* ker,
-                  int kh, int kw, float* dst, std::int64_t count);
+void tap_plane_avx2(const float* src, std::int64_t src_stride,
+                    const float* ker, int kh, int kw, float* dst,
+                    std::int64_t dst_stride, std::int64_t rows,
+                    std::int64_t count, double* wide);
 void warp_row_avx2(const float* src, std::int64_t h, std::int64_t w,
                    const WarpCoeffs& t, std::int64_t y, float* dst);
 void median3_row_avx2(const float* r0, const float* r1, const float* r2,
@@ -44,8 +46,10 @@ void gemm_microtile_neon(std::int64_t kc, const float* ap, const float* b,
                          std::int64_t ldb, float* acc);
 void gemm_row_neon(std::int64_t kc, const float* a, const float* b,
                    std::int64_t ldb, std::int64_t n, float* acc);
-void tap_row_neon(const float* src, std::int64_t stride, const float* ker,
-                  int kh, int kw, float* dst, std::int64_t count);
+void tap_plane_neon(const float* src, std::int64_t src_stride,
+                    const float* ker, int kh, int kw, float* dst,
+                    std::int64_t dst_stride, std::int64_t rows,
+                    std::int64_t count, double* wide);
 void median3_row_neon(const float* r0, const float* r1, const float* r2,
                       float* dst, std::int64_t count);
 #endif

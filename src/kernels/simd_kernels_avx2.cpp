@@ -9,6 +9,9 @@
 //     — one rounding per term. Bitwise-deterministic, bitwise-modelled by
 //     linalg::sgemm_reference_fused, but NOT bit-equal to the scalar
 //     two-rounding microtile (the documented per-target GEMM contract).
+//   * tap_plane_avx2 folds with _mm256_fmadd_pd (8 chains per row pair),
+//     which is bit-equal to the scalar double mul+add because every product
+//     it forms is exact (the argument is in dispatch.h).
 //   * every other kernel reproduces the scalar double-precision op order
 //     exactly (no FMA, no reassociation) and is bit-equal to scalar; the
 //     scalar remainder loops below are verbatim copies of the reference
@@ -102,35 +105,92 @@ void gemm_row_avx2(std::int64_t kc, const float* a, const float* b,
   }
 }
 
-// ---- convolution tap rows ---------------------------------------------------
+// ---- convolution tap planes -------------------------------------------------
 
-void tap_row_avx2(const float* src, std::int64_t stride, const float* ker,
-                  int kh, int kw, float* dst, std::int64_t count) {
-  std::int64_t i = 0;
-  // Four output pixels per iteration, each lane an independent double
-  // accumulator walking the taps in the scalar (fy, fx) order.
-  for (; i + 4 <= count; i += 4) {
-    __m256d acc = _mm256_setzero_pd();
-    for (int fy = 0; fy < kh; ++fy) {
-      const float* row = src + fy * stride + i;
-      for (int fx = 0; fx < kw; ++fx) {
-        const __m256d tap =
-            _mm256_set1_pd(static_cast<double>(ker[fy * kw + fx]));
-        const __m256d v = _mm256_cvtps_pd(_mm_loadu_ps(row + fx));
-        acc = _mm256_add_pd(acc, _mm256_mul_pd(tap, v));
+namespace {
+
+// kRows x kChains vectors of 4 output pixels, each lane an independent double
+// accumulator folding the taps in the scalar (fy, fx) order from +0. `in` is
+// the widened input at the pass's first pixel, rows `ww` doubles apart;
+// `taps` is the widened kernel. FMA is exact here (see dispatch.h): each
+// product of two widened floats is exact, so fmadd rounds once, like the
+// scalar mul then add.
+template <int kRows, int kChains>
+inline void tap_pass(const double* in, std::int64_t ww, const double* taps, int kh,
+                     int kw, float* out, std::int64_t out_stride) {
+  __m256d acc[kRows][kChains];
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kChains; ++v) acc[r][v] = _mm256_setzero_pd();
+  }
+  for (int fy = 0; fy < kh; ++fy) {
+    const double* row = in + fy * ww;
+    for (int fx = 0; fx < kw; ++fx) {
+      const __m256d tap = _mm256_broadcast_sd(taps + fy * kw + fx);
+      for (int r = 0; r < kRows; ++r) {
+        for (int v = 0; v < kChains; ++v) {
+          acc[r][v] =
+              _mm256_fmadd_pd(tap, _mm256_loadu_pd(row + r * ww + fx + 4 * v), acc[r][v]);
+        }
       }
     }
-    _mm_storeu_ps(dst + i, _mm256_cvtpd_ps(acc));
+  }
+  for (int r = 0; r < kRows; ++r) {
+    for (int v = 0; v < kChains; ++v) {
+      _mm_storeu_ps(out + r * out_stride + 4 * v, _mm256_cvtpd_ps(acc[r][v]));
+    }
+  }
+}
+
+// kRows output rows of `count` pixels: 16-pixel passes (4 chains per row, so
+// 8 in flight for a row pair, enough to cover the FMA latency), then 4-pixel
+// passes, then single pixels through the scalar fold.
+template <int kRows>
+void tap_rows(const double* in, std::int64_t ww, const double* taps, int kh, int kw,
+              float* out, std::int64_t out_stride, std::int64_t count) {
+  std::int64_t i = 0;
+  for (; i + 16 <= count; i += 16) {
+    tap_pass<kRows, 4>(in + i, ww, taps, kh, kw, out + i, out_stride);
+  }
+  for (; i + 4 <= count; i += 4) {
+    tap_pass<kRows, 1>(in + i, ww, taps, kh, kw, out + i, out_stride);
   }
   for (; i < count; ++i) {
-    double acc = 0.0;
-    for (int fy = 0; fy < kh; ++fy) {
-      const float* row = src + fy * stride + i;
-      for (int fx = 0; fx < kw; ++fx) {
-        acc += static_cast<double>(ker[fy * kw + fx]) * row[fx];
+    for (int r = 0; r < kRows; ++r) {
+      double acc = 0.0;
+      for (int fy = 0; fy < kh; ++fy) {
+        for (int fx = 0; fx < kw; ++fx) {
+          acc += taps[fy * kw + fx] * in[(r + fy) * ww + i + fx];
+        }
       }
+      out[r * out_stride + i] = static_cast<float>(acc);
     }
-    dst[i] = static_cast<float>(acc);
+  }
+}
+
+}  // namespace
+
+void tap_plane_avx2(const float* src, std::int64_t src_stride,
+                    const float* ker, int kh, int kw, float* dst,
+                    std::int64_t dst_stride, std::int64_t rows,
+                    std::int64_t count, double* wide) {
+  // Widen the kernel and every input row to double once, not once per tap.
+  double* taps = wide;
+  for (int t = 0; t < kh * kw; ++t) taps[t] = static_cast<double>(ker[t]);
+  double* in = wide + kh * kw;
+  const std::int64_t ww = count + kw - 1;
+  for (std::int64_t r = 0; r < rows + kh - 1; ++r) {
+    const float* s = src + r * src_stride;
+    double* d = in + r * ww;
+    std::int64_t j = 0;
+    for (; j + 4 <= ww; j += 4) _mm256_storeu_pd(d + j, _mm256_cvtps_pd(_mm_loadu_ps(s + j)));
+    for (; j < ww; ++j) d[j] = static_cast<double>(s[j]);
+  }
+  std::int64_t r = 0;
+  for (; r + 2 <= rows; r += 2) {
+    tap_rows<2>(in + r * ww, ww, taps, kh, kw, dst + r * dst_stride, dst_stride, count);
+  }
+  if (r < rows) {
+    tap_rows<1>(in + r * ww, ww, taps, kh, kw, dst + r * dst_stride, dst_stride, count);
   }
 }
 

@@ -74,7 +74,9 @@ void gemm_row_neon(std::int64_t kc, const float* a, const float* b,
   for (std::int64_t j = 4 * vecs; j < n; ++j) acc[j] = tail[j - 4 * vecs];
 }
 
-// ---- convolution tap rows ---------------------------------------------------
+// ---- convolution tap planes -------------------------------------------------
+
+namespace {
 
 void tap_row_neon(const float* src, std::int64_t stride, const float* ker,
                   int kh, int kw, float* dst, std::int64_t count) {
@@ -104,6 +106,19 @@ void tap_row_neon(const float* src, std::int64_t stride, const float* ker,
       }
     }
     dst[i] = static_cast<float>(acc);
+  }
+}
+
+}  // namespace
+
+// The plane is the row fold run once per output row; `wide` is unused.
+void tap_plane_neon(const float* src, std::int64_t src_stride,
+                    const float* ker, int kh, int kw, float* dst,
+                    std::int64_t dst_stride, std::int64_t rows,
+                    std::int64_t count, double* /*wide*/) {
+  for (std::int64_t r = 0; r < rows; ++r) {
+    tap_row_neon(src + r * src_stride, src_stride, ker, kh, kw,
+                 dst + r * dst_stride, count);
   }
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <vector>
 
 #include "src/kernels/dispatch.h"
 #include "src/linalg/operators.h"
@@ -60,24 +61,24 @@ void filter_border_pixel(const float* src, float* dst, std::int64_t h, std::int6
 }
 
 void filter_plane(const float* src, float* dst, std::int64_t h, std::int64_t w,
-                  const float* kernel, int kh, int kw) {
+                  const float* kernel, int kh, int kw, kernels::TapPlaneFn taps,
+                  std::vector<double>& wide) {
   const int pad_h = kh / 2;
   const int pad_w = kw / 2;
   double total_mass = 0.0;
   for (int i = 0; i < kh * kw; ++i) total_mass += kernel[i];
 
   // Interior pass: every tap is in bounds, no renormalization bookkeeping.
-  // The per-row tap loop is kernel-dispatched (scalar and SIMD targets share
-  // the double accumulator and ascending (fy, fx) tap order, so the result
-  // is bitwise identical across targets).
+  // The tap loop is kernel-dispatched (scalar and SIMD targets share the
+  // double accumulator and ascending (fy, fx) tap order, so the result is
+  // bitwise identical across targets).
+  const std::int64_t interior_h = h - 2 * pad_h;
   const std::int64_t interior_w = w - 2 * pad_w;
-  if (interior_w > 0) {
-    const kernels::TapRowFn taps =
-        kernels::tap_row(util::active_kernel_target());
-    for (std::int64_t y = pad_h; y < h - pad_h; ++y) {
-      taps(src + (y - pad_h) * w, w, kernel, kh, kw, dst + y * w + pad_w,
-           interior_w);
-    }
+  if (interior_h > 0 && interior_w > 0) {
+    const std::int64_t need = kernels::tap_plane_scratch(interior_h, interior_w, kh, kw);
+    if (wide.size() < static_cast<std::size_t>(need)) wide.resize(static_cast<std::size_t>(need));
+    taps(src, w, kernel, kh, kw, dst + pad_h * w + pad_w, w, interior_h, interior_w,
+         wide.data());
   }
 
   // Border pass: the top/bottom bands plus the left/right edges of the
@@ -108,9 +109,13 @@ tensor::Tensor filter2d_depthwise(const tensor::Tensor& x, const tensor::Tensor&
   const int kh = static_cast<int>(kernel.dim(0));
   const int kw = static_cast<int>(kernel.dim(1));
   tensor::Tensor out(x.shape());
+  const kernels::TapPlaneFn taps = kernels::tap_plane(util::active_kernel_target());
   util::parallel_for(n * c, [&](std::int64_t p0, std::int64_t p1) {
+    // Per-thread widened-row scratch for tap_plane; it only grows.
+    thread_local std::vector<double> wide;
     for (std::int64_t p = p0; p < p1; ++p) {
-      filter_plane(x.data() + p * h * w, out.data() + p * h * w, h, w, kernel.data(), kh, kw);
+      filter_plane(x.data() + p * h * w, out.data() + p * h * w, h, w, kernel.data(), kh, kw,
+                   taps, wide);
     }
   }, /*min_chunk=*/1, /*cost=*/h * w * kh * kw);
   return out;

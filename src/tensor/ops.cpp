@@ -165,6 +165,24 @@ std::int64_t conv_out_size(std::int64_t in, int kernel, int stride) {
   return (in - kernel) / stride + 1;
 }
 
+namespace {
+
+/// The oh rows of one im2col tap: dst[oy*ow + ox] = src[oy*stride*w + ox*stride].
+/// A compile-time stride turns each row into one vector loop: a plain copy
+/// at stride 1, a shuffle deinterleave at stride 2 and 3 (with a runtime
+/// stride the compiler emits one scalar move per float).
+template <int kStride>
+void im2col_rows(const float* src, std::int64_t w, std::int64_t oh, std::int64_t ow,
+                 float* dst) {
+  for (std::int64_t oy = 0; oy < oh; ++oy) {
+    const float* __restrict in = src + oy * kStride * w;
+    float* __restrict out = dst + oy * ow;
+    for (std::int64_t ox = 0; ox < ow; ++ox) out[ox] = in[ox * kStride];
+  }
+}
+
+}  // namespace
+
 void im2col_into(const float* x, std::int64_t c, std::int64_t h, std::int64_t w, int kh,
                  int kw, int stride, float* out) {
   const std::int64_t oh = conv_out_size(h, kh, stride);
@@ -175,9 +193,16 @@ void im2col_into(const float* x, std::int64_t c, std::int64_t h, std::int64_t w,
     for (int fy = 0; fy < kh; ++fy) {
       for (int fx = 0; fx < kw; ++fx) {
         float* dst = out + ((ic * kh + fy) * kw + fx) * oh * ow;
-        for (std::int64_t oy = 0; oy < oh; ++oy) {
-          const float* src = src_plane + (oy * stride + fy) * w + fx;
-          for (std::int64_t ox = 0; ox < ow; ++ox) dst[oy * ow + ox] = src[ox * stride];
+        const float* src = src_plane + fy * w + fx;
+        switch (stride) {
+          case 1: im2col_rows<1>(src, w, oh, ow, dst); break;
+          case 2: im2col_rows<2>(src, w, oh, ow, dst); break;
+          case 3: im2col_rows<3>(src, w, oh, ow, dst); break;
+          default:
+            for (std::int64_t oy = 0; oy < oh; ++oy) {
+              const float* row = src + oy * stride * w;
+              for (std::int64_t ox = 0; ox < ow; ++ox) dst[oy * ow + ox] = row[ox * stride];
+            }
         }
       }
     }
@@ -212,8 +237,16 @@ void col2im_add(const float* cols, std::int64_t c, std::int64_t h, std::int64_t 
         const float* src = cols + ((ic * kh + fy) * kw + fx) * oh * ow;
         for (std::int64_t oy = oy0; oy < oy1; ++oy) {
           float* dst = dst_plane + (oy * stride + fy - pad) * w;
-          for (std::int64_t ox = ox0; ox < ox1; ++ox) {
-            dst[ox * stride + fx - pad] += src[oy * ow + ox];
+          if (stride == 1) {
+            // One dx element per column: a contiguous vector add, and each
+            // element still takes this (ic, fy, fx) term in its place.
+            float* __restrict d = dst + fx - pad;
+            const float* __restrict s = src + oy * ow;
+            for (std::int64_t ox = ox0; ox < ox1; ++ox) d[ox] += s[ox];
+          } else {
+            for (std::int64_t ox = ox0; ox < ox1; ++ox) {
+              dst[ox * stride + fx - pad] += src[oy * ow + ox];
+            }
           }
         }
       }

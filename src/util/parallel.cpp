@@ -57,16 +57,19 @@ void parallel_for(std::int64_t n,
                   const std::function<void(std::int64_t, std::int64_t)>& fn,
                   std::int64_t min_chunk, std::int64_t cost) {
   if (n <= 0) return;
-  std::int64_t chunk = std::max<std::int64_t>(min_chunk, 1);
-  if (cost > 0) chunk = std::max(chunk, (kWorkFloor + cost - 1) / cost);
-  const std::int64_t chunks = (n + chunk - 1) / chunk;
+  std::int64_t least = std::max<std::int64_t>(min_chunk, 1);
+  if (cost > 0) least = std::max(least, (kWorkFloor + cost - 1) / cost);
+  const std::int64_t chunks = std::max<std::int64_t>(1, n / least);
   if (chunks <= 1) {
     fn(0, n);
     return;
   }
+  // Equal split: the first n % chunks chunks take one extra item, and every
+  // chunk holds at least n / chunks >= least items.
+  const std::int64_t base = n / chunks, extra = n % chunks;
   const auto run_chunk = [&](std::int64_t c) {
-    const std::int64_t begin = c * chunk;
-    fn(begin, std::min<std::int64_t>(n, begin + chunk));
+    const std::int64_t begin = c * base + std::min(c, extra);
+    fn(begin, begin + base + (c < extra ? 1 : 0));
   };
   const int workers = parallel_workers();
   if (workers <= 1 || ThreadPool::on_worker_thread()) {

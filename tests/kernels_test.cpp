@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -91,37 +93,88 @@ TEST(KernelTable, GemmMicrokernelDescriptorsAreSane) {
   }
   // tap/warp dispatch can never come back null; callers rely on it.
   for (const auto target : available_kernel_targets()) {
-    EXPECT_NE(kernels::tap_row(target), nullptr);
+    EXPECT_NE(kernels::tap_plane(target), nullptr);
     EXPECT_NE(kernels::warp_row(target), nullptr);
   }
 }
 
-// Direct unit check of the tap-row kernels: every target must reproduce the
-// scalar double-accumulator tap fold bitwise, including the non-multiple-of-
-// vector-width tail.
-TEST(KernelTable, TapRowMatchesScalarBitwise) {
+// Same bits, or both NaN (which NaN propagates is not part of the tap
+// contract). Bit equality also tells +0 from -0.
+bool same_float(float a, float b) {
+  return (std::isnan(a) && std::isnan(b)) || std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+// Direct unit check of the tap-plane kernels: every target must reproduce a
+// naive double-accumulator tap fold bitwise. The counts straddle the AVX2
+// 16-pixel body and its 4-pixel and single-pixel tails; the plane has more
+// than one row and a dst_stride wider than count; and poison variants put
+// NaN and Inf into the taps and the input, and -0.0 into the input.
+TEST(KernelTable, TapPlaneMatchesNaiveFoldBitwise) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float sentinel = -999.0f;
+  enum class Poison { kNone, kNanTap, kInfTap, kNanInput, kInfInput, kNegZeroInput };
+  struct Kernel { int kh, kw; };
   util::Rng rng(101);
-  const int kh = 3, kw = 5;
-  // Counts straddle the 4-wide AVX2 body: 1..3 all-tail, 11 body+tail.
-  for (const std::int64_t count : {std::int64_t{1}, std::int64_t{3},
-                                   std::int64_t{8}, std::int64_t{11}}) {
-    const std::int64_t stride = count + kw - 1;
-    std::vector<float> src(static_cast<std::size_t>(stride * kh));
-    std::vector<float> ker(static_cast<std::size_t>(kh * kw));
-    for (auto& v : src) v = static_cast<float>(rng.normal());
-    for (auto& v : ker) v = static_cast<float>(rng.normal());
-    std::vector<float> expected(static_cast<std::size_t>(count));
-    kernels::tap_row(KernelTarget::kScalar)(src.data(), stride, ker.data(), kh,
-                                            kw, expected.data(), count);
-    for (const auto target : available_kernel_targets()) {
-      if (target == KernelTarget::kScalar) continue;
-      std::vector<float> got(static_cast<std::size_t>(count), -999.0f);
-      kernels::tap_row(target)(src.data(), stride, ker.data(), kh, kw,
-                               got.data(), count);
-      for (std::int64_t i = 0; i < count; ++i) {
-        ASSERT_EQ(got[static_cast<std::size_t>(i)],
-                  expected[static_cast<std::size_t>(i)])
-            << kernel_target_name(target) << " count " << count << " elem " << i;
+  for (const Kernel k : {Kernel{1, 1}, Kernel{3, 5}, Kernel{5, 5}, Kernel{7, 7}, Kernel{4, 4}}) {
+    for (const std::int64_t count : {1, 3, 4, 15, 16, 17, 31, 32, 33}) {
+      for (const Poison poison : {Poison::kNone, Poison::kNanTap, Poison::kInfTap,
+                                  Poison::kNanInput, Poison::kInfInput,
+                                  Poison::kNegZeroInput}) {
+        const std::int64_t rows = 1 + count % 3;  // 1, 2 and 3 rows (pairs + one)
+        const std::int64_t src_stride = count + k.kw - 1 + 2;  // wider than read
+        const std::int64_t dst_stride = count + 3;
+        std::vector<float> src(static_cast<std::size_t>((rows + k.kh - 1) * src_stride));
+        std::vector<float> ker(static_cast<std::size_t>(k.kh * k.kw));
+        for (auto& v : src) v = static_cast<float>(rng.normal());
+        for (auto& v : ker) v = static_cast<float>(rng.normal());
+        switch (poison) {
+          case Poison::kNone: break;
+          case Poison::kNanTap: ker[ker.size() / 2] = nan; break;
+          case Poison::kInfTap: ker.back() = -inf; break;
+          case Poison::kNanInput: src[src.size() / 3] = nan; break;
+          case Poison::kInfInput:
+            src[src.size() / 2] = inf;
+            src[src.size() / 2 + 1] = -inf;  // Inf - Inf where both fall in a window
+            break;
+          case Poison::kNegZeroInput:
+            // Every other input -0.0 and the first row all -0.0: all-(-0)
+            // windows must come out +0, as the naive fold from +0 gives.
+            for (std::size_t i = 0; i < src.size(); i += 2) src[i] = -0.0f;
+            for (std::int64_t i = 0; i < src_stride; ++i) src[static_cast<std::size_t>(i)] = -0.0f;
+            if (k.kh == 1) std::fill(src.begin(), src.end(), -0.0f);
+            break;
+        }
+        std::vector<float> expected(static_cast<std::size_t>(rows * dst_stride), sentinel);
+        for (std::int64_t r = 0; r < rows; ++r) {
+          for (std::int64_t i = 0; i < count; ++i) {
+            double acc = 0.0;
+            for (int fy = 0; fy < k.kh; ++fy) {
+              for (int fx = 0; fx < k.kw; ++fx) {
+                acc += static_cast<double>(ker[static_cast<std::size_t>(fy * k.kw + fx)]) *
+                       static_cast<double>(
+                           src[static_cast<std::size_t>((r + fy) * src_stride + i + fx)]);
+              }
+            }
+            expected[static_cast<std::size_t>(r * dst_stride + i)] = static_cast<float>(acc);
+          }
+        }
+        for (const auto target : available_kernel_targets()) {
+          // Stale scratch contents must not leak into the result.
+          std::vector<double> wide(
+              static_cast<std::size_t>(kernels::tap_plane_scratch(rows, count, k.kh, k.kw)),
+              std::numeric_limits<double>::quiet_NaN());
+          std::vector<float> got(expected.size(), sentinel);
+          kernels::tap_plane(target)(src.data(), src_stride, ker.data(), k.kh, k.kw,
+                                     got.data(), dst_stride, rows, count, wide.data());
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_TRUE(same_float(got[i], expected[i]))
+                << kernel_target_name(target) << " kernel " << k.kh << "x" << k.kw
+                << " count " << count << " rows " << rows << " poison "
+                << static_cast<int>(poison) << " elem " << i << ": " << got[i]
+                << " vs " << expected[i];
+          }
+        }
       }
     }
   }

@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include "src/tensor/ops.h"
 #include "src/tensor/tensor.h"
@@ -178,6 +180,44 @@ TEST(TensorOps, Im2ColKnownValues) {
   EXPECT_FLOAT_EQ(cols[3], 4.0f);
 }
 
+TEST(TensorOps, Im2ColIntoEqualsNaiveGather) {
+  // Each stride has its own row loop (1, 2 and 3 compile-time, larger ones
+  // generic); all must copy the exact bits the naive strided gather reads.
+  struct Case { std::int64_t c, h, w; int kh, kw, stride; };
+  const Case cases[] = {
+      {3, 36, 36, 5, 5, 1},   // conv1, padded
+      {16, 36, 36, 5, 5, 2},  // conv2, padded
+      {32, 18, 18, 3, 3, 2},  // conv3, padded
+      {2, 7, 9, 3, 3, 1},     {2, 11, 13, 3, 5, 3}, {1, 8, 7, 2, 3, 3},
+      {2, 9, 3, 3, 3, 2},     // ow = 1
+      {1, 5, 5, 5, 5, 1},     // oh = ow = 1
+      {2, 10, 17, 3, 3, 4},   // generic stride
+  };
+  util::Rng rng(11);
+  for (const Case& k : cases) {
+    const std::int64_t oh = conv_out_size(k.h, k.kh, k.stride);
+    const std::int64_t ow = conv_out_size(k.w, k.kw, k.stride);
+    Tensor x = Tensor::randn(Shape{k.c, k.h, k.w}, rng);
+    x[0] = -0.0f;
+    x[x.numel() / 2] = std::numeric_limits<float>::quiet_NaN();
+    std::vector<float> cols(static_cast<std::size_t>(k.c * k.kh * k.kw * oh * ow), 7.0f);
+    im2col_into(x.data(), k.c, k.h, k.w, k.kh, k.kw, k.stride, cols.data());
+    std::size_t at = 0;
+    for (std::int64_t ic = 0; ic < k.c; ++ic)
+      for (int fy = 0; fy < k.kh; ++fy)
+        for (int fx = 0; fx < k.kw; ++fx)
+          for (std::int64_t oy = 0; oy < oh; ++oy)
+            for (std::int64_t ox = 0; ox < ow; ++ox, ++at) {
+              const float expected =
+                  x[(ic * k.h + oy * k.stride + fy) * k.w + ox * k.stride + fx];
+              ASSERT_EQ(std::memcmp(&expected, &cols[at], sizeof(float)), 0)
+                  << "c" << k.c << " " << k.h << "x" << k.w << " k" << k.kh << "x" << k.kw
+                  << " s" << k.stride << " at " << ic << "," << fy << "," << fx << "," << oy
+                  << "," << ox;
+            }
+  }
+}
+
 TEST(TensorOps, Col2ImIsAdjointOfIm2Col) {
   // <im2col(pad(x)), y> == <x, col2im_add(y)> for random x, y — the adjoint
   // property the conv2d backward pass relies on.
@@ -196,8 +236,10 @@ TEST(TensorOps, Col2ImAddEqualsPaddedScatterThenCrop) {
   // image element must still receive its terms in the same order, so the
   // result is bitwise a scatter into a zeroed padded buffer followed by a crop.
   struct Case { std::int64_t c, h, w; int kernel, stride, pad; };
-  const Case cases[] = {{2, 6, 6, 3, 2, 1}, {1, 1, 1, 5, 1, 2}, {3, 3, 5, 5, 2, 2},
-                        {2, 7, 4, 3, 3, 0}, {1, 2, 2, 5, 2, 2}, {2, 9, 9, 5, 1, 2}};
+  const Case cases[] = {{2, 6, 6, 3, 2, 1},    {1, 1, 1, 5, 1, 2},   {3, 3, 5, 5, 2, 2},
+                        {2, 7, 4, 3, 3, 0},    {1, 2, 2, 5, 2, 2},   {2, 9, 9, 5, 1, 2},
+                        // the paper model's conv1, conv2 and conv3 input gradients
+                        {3, 32, 32, 5, 1, 2}, {16, 32, 32, 5, 2, 2}, {32, 16, 16, 3, 2, 1}};
   util::Rng rng(13);
   for (const Case& k : cases) {
     const std::int64_t hp = k.h + 2 * k.pad, wp = k.w + 2 * k.pad;

@@ -213,6 +213,7 @@ TEST(Parallel, ChunkRangesDependOnlyOnShapeAndCost) {
       {1000, 16, 0},                      // no cost: min_chunk items
       {1000, 1, 0},                       // no cost, one item per chunk
       {16, 1, 25600},                     // batch-1 blur planes: under one floor
+      {128, 1, 25600},                    // batch-8 blur planes: 43, 43, 42
       {1024, 1, 25600},                   // batch-64 blur planes
       {64, 1, 1228800},                   // batch-64 conv1 images
       {7, 3, kWorkFloor},                 // one floor per item
@@ -220,12 +221,19 @@ TEST(Parallel, ChunkRangesDependOnlyOnShapeAndCost) {
       {100, 40, kWorkFloor / 100},        // min_chunk below the floor's chunk
   };
   for (const Case& c : cases) {
-    std::int64_t chunk = std::max<std::int64_t>(c.min_chunk, 1);
-    if (c.cost > 0) chunk = std::max(chunk, (kWorkFloor + c.cost - 1) / c.cost);
+    // floor(n / least) chunks of equal size (the first n % chunks one item
+    // longer), least = max(min_chunk, ceil(kWorkFloor / cost)).
+    std::int64_t least = std::max<std::int64_t>(c.min_chunk, 1);
+    if (c.cost > 0) least = std::max(least, (kWorkFloor + c.cost - 1) / c.cost);
+    const std::int64_t chunks = std::max<std::int64_t>(1, c.n / least);
     std::vector<std::pair<std::int64_t, std::int64_t>> expected;
-    for (std::int64_t begin = 0; begin < c.n; begin += chunk) {
-      expected.emplace_back(begin, std::min(c.n, begin + chunk));
+    for (std::int64_t k = 0, begin = 0; k < chunks; ++k) {
+      const std::int64_t size = c.n / chunks + (k < c.n % chunks ? 1 : 0);
+      if (chunks > 1) ASSERT_GE(size, least);
+      expected.emplace_back(begin, begin + size);
+      begin += size;
     }
+    ASSERT_EQ(expected.back().second, c.n);
     for (const int workers : {1, 2, 4}) {
       set_parallel_workers(workers);
       std::mutex mutex;
