@@ -40,7 +40,7 @@ void append_frame(std::vector<std::uint8_t>& out, Opcode opcode, std::uint32_t r
   put_u32_le(out, kMagic);
   out.push_back(kVersion);
   out.push_back(static_cast<std::uint8_t>(opcode));
-  put_u16_le(out, 0);  // reserved, zero in version 1
+  put_u16_le(out, 0);  // reserved, always zero
   put_u32_le(out, request_id);
   put_u32_le(out, static_cast<std::uint32_t>(payload.size()));
   out.insert(out.end(), payload.begin(), payload.end());
@@ -94,7 +94,7 @@ bool FrameDecoder::next(Frame& out) {
     throw WireError("frame: unknown opcode " + std::to_string(raw_opcode));
   }
   if (read_u16_le(header + 6) != 0) {
-    throw WireError("frame: reserved header bytes must be zero in version 1");
+    throw WireError("frame: reserved header bytes must be zero");
   }
   const std::uint32_t request_id = read_u32_le(header + 8);
   const std::uint32_t payload_bytes = read_u32_le(header + 12);

@@ -36,14 +36,9 @@ tensor::Tensor slice_image(const tensor::Tensor& batch, int index) {
   return image;
 }
 
-/// The constructor's checks, run before anything is bound.
-ServerConfig checked(const serve::InferenceEngine& engine, ServerConfig config) {
+/// The constructor's check, run before anything is bound.
+ServerConfig checked(ServerConfig config) {
   config.validate();
-  if (engine.overload_policy() == serve::OverloadPolicy::kBlock) {
-    throw std::invalid_argument(
-        "Server: the engine uses OverloadPolicy::kBlock; admission runs on the event loop, "
-        "where a blocking submit() would stall every connection — serve with kReject");
-  }
   return config;
 }
 
@@ -112,7 +107,7 @@ void Server::WakePipe::drain() const {
 
 Server::Server(serve::InferenceEngine& engine, ServerConfig config)
     : engine_(engine),
-      config_(checked(engine, std::move(config))),
+      config_(checked(std::move(config))),
       listener_(listen_nonblocking(config_)),
       port_(local_port(listener_.fd())),
       wake_(std::make_shared<const WakePipe>()),
@@ -488,7 +483,6 @@ ServerStats Server::stats() const {
       v.images += r.images;
     }
     v.rejected = vs.rejected;
-    v.blocked = vs.blocked;
     v.queue_depth = vs.queue_depth;
     v.queue_peak = vs.queue_peak;
     v.latency_count = static_cast<std::int64_t>(vs.latency.count);

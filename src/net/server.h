@@ -11,10 +11,6 @@
 //
 //   wire → decode → submit() → coalesced replica forward → completion → encode → wire
 //
-// Admission must never block the loop, so the constructor rejects engines
-// configured with OverloadPolicy::kBlock: socket serving sheds (kReject) and
-// reports the shed to the client as a typed frame.
-//
 // Classify work never executes on the loop. The engine's replica worker runs
 // each request's completion, which only stores the prediction on its
 // connection and pokes the loop's wake pipe; the loop then encodes the reply

@@ -372,7 +372,6 @@ std::vector<std::uint8_t> encode_stats(const ServerStats& stats) {
     w.put_i64(v.requests);
     w.put_i64(v.images);
     w.put_i64(v.rejected);
-    w.put_i64(v.blocked);
     w.put_i64(v.queue_depth);
     w.put_i64(v.queue_peak);
     w.put_i64(v.latency_count);
@@ -411,8 +410,8 @@ ServerStats decode_stats(const std::uint8_t* data, std::size_t size) {
   stats.overloads = r.get_i64("overloads");
   stats.shutdown_rejected = r.get_i64("shutdown_rejected");
   const std::uint32_t variants = r.get_u32("variant count");
-  // Name prefix + 8 i64 counters + 4 f64 quantiles = 98 bytes minimum each.
-  if (variants > r.remaining() / 98) {
+  // Name prefix + 7 i64 counters + 4 f64 quantiles = 90 bytes minimum each.
+  if (variants > r.remaining() / 90) {
     throw WireError("decode_stats: variant count " + std::to_string(variants) +
                     " exceeds what " + std::to_string(r.remaining()) +
                     " payload bytes can hold");
@@ -425,7 +424,6 @@ ServerStats decode_stats(const std::uint8_t* data, std::size_t size) {
     v.requests = r.get_i64("requests");
     v.images = r.get_i64("images");
     v.rejected = r.get_i64("rejected");
-    v.blocked = r.get_i64("blocked");
     v.queue_depth = r.get_i64("queue_depth");
     v.queue_peak = r.get_i64("queue_peak");
     v.latency_count = r.get_i64("latency_count");

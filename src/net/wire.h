@@ -7,9 +7,9 @@
 //   offset  size  field
 //   ------  ----  -----------------------------------------------------------
 //        0     4  magic          0x544E4C42 ("BLNT", little-endian)
-//        4     1  version        protocol version, currently 1
+//        4     1  version        protocol version, currently 2
 //        5     1  opcode         Opcode below
-//        6     2  reserved       must be zero in version 1
+//        6     2  reserved       must be zero
 //        8     4  request id     caller-chosen correlation id, echoed back
 //       12     4  payload bytes  length of the payload that follows
 //
@@ -44,7 +44,7 @@
 namespace blurnet::net {
 
 inline constexpr std::uint32_t kMagic = 0x544E4C42;  // "BLNT"
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::size_t kHeaderBytes = 16;
 /// Default bound on a single frame (header + payload). Large enough for a
 /// 64-image NCHW batch of 3x32x32 floats with room to spare; small enough
@@ -186,7 +186,6 @@ struct WireVariantStats {
   std::int64_t requests = 0;  // images served through the submit() queue
   std::int64_t images = 0;    // images through classify*/submit in total
   std::int64_t rejected = 0;
-  std::int64_t blocked = 0;
   std::int64_t queue_depth = 0;
   std::int64_t queue_peak = 0;
   std::int64_t latency_count = 0;

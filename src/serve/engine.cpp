@@ -56,14 +56,6 @@ int effective_max_batch(const Options& options, int engine_default, const std::s
 
 }  // namespace
 
-const char* to_string(OverloadPolicy policy) {
-  switch (policy) {
-    case OverloadPolicy::kReject: return "reject";
-    case OverloadPolicy::kBlock: return "block";
-  }
-  return "?";
-}
-
 void EngineConfig::validate() const {
   if (max_batch < 1) {
     throw std::invalid_argument("EngineConfig: max_batch must be >= 1 (got " +
@@ -77,17 +69,6 @@ void EngineConfig::validate() const {
     throw std::invalid_argument("EngineConfig: queue_capacity must be >= 1 (got " +
                                 std::to_string(queue_capacity) + ")");
   }
-  if (block_timeout_ms < 0) {
-    throw std::invalid_argument("EngineConfig: block_timeout_ms must be >= 0 (got " +
-                                std::to_string(block_timeout_ms) +
-                                "; 0 waits indefinitely under OverloadPolicy::kBlock)");
-  }
-  if (overload_policy == OverloadPolicy::kReject && block_timeout_ms != 0) {
-    throw std::invalid_argument(
-        "EngineConfig: block_timeout_ms (" + std::to_string(block_timeout_ms) +
-        ") only applies to OverloadPolicy::kBlock — a kReject engine never waits; "
-        "set it to 0 or switch overload_policy to kBlock");
-  }
 }
 
 InferenceEngine::InferenceEngine(EngineConfig config)
@@ -95,19 +76,14 @@ InferenceEngine::InferenceEngine(EngineConfig config)
     // not cost a full weight allocation.
     : InferenceEngine([&config] { config.validate(); return nn::LisaCnn(config.model); }(),
                       config.defense, config.max_batch, config.replicas,
-                      config.queue_capacity, config.overload_policy,
-                      config.block_timeout_ms) {}
+                      config.queue_capacity) {}
 
 InferenceEngine::InferenceEngine(nn::LisaCnn model, nn::FixedFilterSpec defense,
-                                 int max_batch, int replicas, int queue_capacity,
-                                 OverloadPolicy overload_policy, int block_timeout_ms)
+                                 int max_batch, int replicas, int queue_capacity)
     : model_(std::move(model)), max_batch_(max_batch), default_replicas_(replicas),
-      queue_capacity_(queue_capacity), overload_policy_(overload_policy),
-      block_timeout_ms_(block_timeout_ms) {
+      queue_capacity_(queue_capacity) {
   // One set of checks and messages for both constructors.
-  EngineConfig{model_.config(), defense, max_batch, replicas, queue_capacity,
-               overload_policy, block_timeout_ms}
-      .validate();
+  EngineConfig{model_.config(), defense, max_batch, replicas, queue_capacity}.validate();
   register_variant_locked(kBaseVariant, model_.config(), default_replicas_);
   defense_enabled_ = defense.placement != nn::FilterPlacement::kNone && defense.kernel > 0;
   if (defense_enabled_) {
@@ -128,10 +104,7 @@ InferenceEngine::~InferenceEngine() {
   }
   {
     std::lock_guard<util::DebugMutex> lock(shards_mutex_);
-    for (auto& shard : shards_) {
-      shard->cv.notify_all();
-      shard->space_cv.notify_all();  // wake kBlock submitters into the stop check
-    }
+    for (auto& shard : shards_) shard->cv.notify_all();
   }
   for (auto& worker : workers_) {
     if (worker.joinable()) worker.join();
@@ -407,7 +380,7 @@ void InferenceEngine::submit(Tensor image, Options options, Completion complete)
                   cap, {}, std::move(complete)};
   const auto capacity = static_cast<std::size_t>(queue_capacity_);
   {
-    std::unique_lock<util::DebugMutex> lock(queue_mutex_);
+    std::lock_guard<util::DebugMutex> lock(queue_mutex_);
     if (stop_) throw std::runtime_error("InferenceEngine::submit: engine is shutting down");
     // Workers are spawned lazily, per variant, on its first queued request:
     // classify()-only engines and never-submitted variants pay for nothing.
@@ -420,45 +393,9 @@ void InferenceEngine::submit(Tensor image, Options options, Completion complete)
     // Bounded queue: admission control happens here, before the request is
     // visible to any worker, so a shed request costs the engine nothing.
     if (shard.pending.size() >= capacity) {
-      if (overload_policy_ == OverloadPolicy::kReject) {
-        ++shard.rejected;
-        throw OverloadError("InferenceEngine::submit: variant \"" + options.variant +
-                            "\" queue is full (" + std::to_string(capacity) +
-                            " pending, policy reject)");
-      }
-      // kBlock: backpressure — wait for a worker to drain a slot. Admission is
-      // FIFO by ticket: only the longest-waiting submitter may take a freed
-      // slot, so a notify_all never turns into a thundering-herd race where
-      // the scheduler picks the winner. Each admitted (or departing) waiter
-      // erases its ticket and re-notifies, cascading slots down the line in
-      // arrival order.
-      ++shard.blocked;
-      const std::uint64_t ticket = shard.next_block_ticket++;
-      shard.block_waiters.push_back(ticket);
-      auto admitted = [&] {
-        return stop_ || (shard.block_waiters.front() == ticket &&
-                         shard.pending.size() < capacity);
-      };
-      auto leave_line = [&] {
-        auto it = std::find(shard.block_waiters.begin(), shard.block_waiters.end(), ticket);
-        if (it != shard.block_waiters.end()) shard.block_waiters.erase(it);
-        shard.space_cv.notify_all();  // the next ticket in line may now be admissible
-      };
-      if (block_timeout_ms_ > 0) {
-        if (!shard.space_cv.wait_for(lock, std::chrono::milliseconds(block_timeout_ms_),
-                                     admitted)) {
-          leave_line();
-          ++shard.rejected;
-          throw OverloadError("InferenceEngine::submit: variant \"" + options.variant +
-                              "\" queue is full (" + std::to_string(capacity) +
-                              " pending, policy block, timed out after " +
-                              std::to_string(block_timeout_ms_) + " ms)");
-        }
-      } else {
-        shard.space_cv.wait(lock, admitted);
-      }
-      leave_line();
-      if (stop_) throw std::runtime_error("InferenceEngine::submit: engine is shutting down");
+      ++shard.rejected;
+      throw OverloadError("InferenceEngine::submit: variant \"" + options.variant +
+                          "\" queue is full (" + std::to_string(capacity) + " pending)");
     }
     request.enqueued = std::chrono::steady_clock::now();
     shard.pending.push_back(std::move(request));
@@ -487,9 +424,6 @@ void InferenceEngine::worker_loop(VariantShard* shard, Replica* replica) {
       } while (!shard->pending.empty() &&
                coalesced.size() < static_cast<std::size_t>(cap));
     }
-    // Popping the coalesced batch freed up to `cap` slots; wake every
-    // backpressured submitter so each can claim one.
-    shard->space_cv.notify_all();
 
     const std::int64_t count = static_cast<std::int64_t>(coalesced.size());
     std::vector<Prediction> predictions;
@@ -546,7 +480,6 @@ VariantStats InferenceEngine::shard_stats(const VariantShard& shard) const {
     stats.queue_depth = static_cast<std::int64_t>(shard.pending.size());
     stats.queue_peak = shard.queue_peak;
     stats.rejected = shard.rejected;
-    stats.blocked = shard.blocked;
   }
   stats.latency = shard.latency.snapshot();
   return stats;
@@ -565,7 +498,6 @@ EngineStats InferenceEngine::stats() const {
       stats.largest_batch = std::max(stats.largest_batch, rs.largest_batch);
     }
     stats.rejected += per_variant.rejected;
-    stats.blocked += per_variant.blocked;
     stats.queue_peak = std::max(stats.queue_peak, per_variant.queue_peak);
     stats.variants.push_back(std::move(per_variant));
   }

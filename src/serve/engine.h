@@ -39,11 +39,10 @@
 //     worker that coalesces compatible queued requests (same variant) into
 //     one forward pass of up to max_batch images; with R replicas, R
 //     coalesced batches of a variant can be in flight at once.
-//     Queues are bounded (EngineConfig::queue_capacity): a full queue either
-//     rejects the submit with OverloadError or blocks the caller for
-//     backpressure, per EngineConfig::overload_policy, so overload degrades
-//     into explicit sheds or bounded waiting instead of unbounded memory
-//     growth and runaway tail latency. Per-variant queue depth high-water
+//     Queues are bounded (EngineConfig::queue_capacity): a full queue
+//     rejects the submit with OverloadError, so overload degrades into
+//     explicit sheds instead of unbounded memory growth and runaway tail
+//     latency. Per-variant queue depth high-water
 //     marks and enqueue→resolve latency quantiles are readable mid-run
 //     through stats().
 //
@@ -55,7 +54,6 @@
 #pragma once
 
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -79,17 +77,14 @@ namespace blurnet::serve {
 inline constexpr const char* kBaseVariant = "base";
 inline constexpr const char* kDefendedVariant = "defended";
 
-/// What submit() does when a variant's bounded queue is full.
-enum class OverloadPolicy {
-  kReject,  // fail fast: throw OverloadError, caller sheds the request
-  kBlock,   // backpressure: block the caller until a slot frees (or timeout)
-};
+/// Kept only because perfbench/src/common.cpp still assigns
+/// `config.overload_policy = OverloadPolicy::kReject`. Nothing reads it: a
+/// full queue always throws OverloadError.
+enum class OverloadPolicy { kReject };
 
-const char* to_string(OverloadPolicy policy);
-
-/// Thrown by submit() when the target variant's queue is full under kReject,
-/// or a kBlock wait exceeds block_timeout_ms. Distinct from logic errors so
-/// load generators can count sheds without swallowing real failures.
+/// Thrown by submit() when the target variant's queue is full. Distinct from
+/// logic errors so load generators can count sheds without swallowing real
+/// failures.
 struct OverloadError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -103,20 +98,16 @@ struct EngineConfig {
   int max_batch = 64;
   /// Serving replicas per variant (>= 1).
   int replicas = 1;
-  /// Most requests a variant's submit() queue holds before the overload
-  /// policy kicks in (>= 1). Bounds worst-case queueing delay: a full queue
-  /// is capacity/throughput seconds of latency already committed.
+  /// Most requests a variant's submit() queue holds before submit() sheds
+  /// with OverloadError (>= 1). Bounds worst-case queueing delay: a full
+  /// queue is capacity/throughput seconds of latency already committed.
   int queue_capacity = 1024;
-  /// What submit() does when the queue is full.
+  /// Unread; kept only for perfbench's assignment (see OverloadPolicy).
   OverloadPolicy overload_policy = OverloadPolicy::kReject;
-  /// kBlock only: longest a submit() waits for a slot before giving up with
-  /// OverloadError. 0 = wait indefinitely. Must be 0 under kReject (a
-  /// reject-policy engine never waits, so a timeout there is a config bug).
-  int block_timeout_ms = 0;
 
   /// Reject malformed configs with a descriptive std::invalid_argument
-  /// (non-positive max_batch / replicas / queue_capacity, negative timeout,
-  /// timeout combined with kReject). Called by both engine constructors.
+  /// (non-positive max_batch / replicas / queue_capacity). Called by both
+  /// engine constructors.
   void validate() const;
 };
 
@@ -133,8 +124,7 @@ struct VariantStats {
   std::vector<ReplicaStats> replicas;  // one entry per replica, index order
   std::int64_t queue_depth = 0;  // requests pending right now
   std::int64_t queue_peak = 0;   // high-water mark of the pending queue
-  std::int64_t rejected = 0;     // submits shed by the overload policy
-  std::int64_t blocked = 0;      // submits that had to wait for a slot
+  std::int64_t rejected = 0;     // submits shed because the queue was full
   /// Enqueue→resolve latency over the ring window; readable mid-run.
   LatencySnapshot latency;
 };
@@ -144,8 +134,7 @@ struct EngineStats {
   std::int64_t batches = 0;        // coalesced queue batches run
   std::int64_t images = 0;         // images through classify*/submit in total
   std::int64_t largest_batch = 0;  // biggest coalesced queue batch so far
-  std::int64_t rejected = 0;       // submits shed by the overload policy
-  std::int64_t blocked = 0;        // submits that had to wait for a slot
+  std::int64_t rejected = 0;       // submits shed because a queue was full
   std::int64_t queue_peak = 0;     // deepest any variant's queue has been
   std::vector<VariantStats> variants;  // exact per-replica breakdown
 };
@@ -159,9 +148,7 @@ class InferenceEngine {
   /// deep-clones the weights at registration — call refresh_variant() if the
   /// base model is retrained afterwards.
   InferenceEngine(nn::LisaCnn model, nn::FixedFilterSpec defense, int max_batch = 64,
-                  int replicas = 1, int queue_capacity = 1024,
-                  OverloadPolicy overload_policy = OverloadPolicy::kReject,
-                  int block_timeout_ms = 0);
+                  int replicas = 1, int queue_capacity = 1024);
   ~InferenceEngine();
 
   InferenceEngine(const InferenceEngine&) = delete;
@@ -237,11 +224,6 @@ class InferenceEngine {
   /// True when the "defended" variant actually wraps a filter.
   bool defense_enabled() const { return defense_enabled_; }
 
-  /// The admission policy the engine was built with. Front-ends that submit
-  /// from an event loop (the socket server) require kReject: a kBlock
-  /// admission would stall the loop, and with it every other connection.
-  OverloadPolicy overload_policy() const { return overload_policy_; }
-
   /// Classify a CHW image or an NCHW batch through the named variant.
   /// Returns one Prediction per image, in input order. Thread-safe.
   std::vector<Prediction> classify(const tensor::Tensor& images,
@@ -261,9 +243,9 @@ class InferenceEngine {
   /// Queue one CHW (or [1,C,H,W]) image for coalesced classification through
   /// the named variant. Replica workers are spawned lazily on the first call,
   /// so classify()-only engines never pay for them. The variant's queue is
-  /// bounded by EngineConfig::queue_capacity: when full, kReject throws
-  /// OverloadError immediately and kBlock waits for a slot (throwing
-  /// OverloadError only if block_timeout_ms elapses first).
+  /// bounded by EngineConfig::queue_capacity: when full, submit() throws
+  /// OverloadError immediately and never waits, so it is safe to call from an
+  /// event loop.
   ///
   /// The replica worker that serves the request runs `complete` exactly once,
   /// after recording its latency and outside every engine lock, so the
@@ -305,22 +287,13 @@ class InferenceEngine {
     std::size_t next_replica = 0;  // round-robin tiebreak; guarded by shards_mutex_
     // Queued path, all guarded by the engine-wide queue_mutex_ (except
     // `latency`, which has its own lock). Each shard has its own queue and
-    // condition variables so a submit() wakes only this variant's workers and
+    // condition variable so a submit() wakes only this variant's workers and
     // the head lookup is O(1).
     std::deque<Request> pending;
-    util::DebugConditionVariable cv;        // workers wait here for requests
-    util::DebugConditionVariable space_cv;  // kBlock submitters wait here for slots
-    // kBlock admission is FIFO: each backpressured submit() takes a ticket and
-    // only the queue's front may claim a freed slot, so slots go to waiters in
-    // arrival order instead of whichever thread the scheduler wakes first. A
-    // waiter that gives up (timeout, stop) erases its own ticket wherever it
-    // sits and re-notifies, so the line never stalls behind a ghost.
-    std::deque<std::uint64_t> block_waiters;
-    std::uint64_t next_block_ticket = 0;
+    util::DebugConditionVariable cv;  // workers wait here for requests
     bool workers_spawned = false;
     std::int64_t queue_peak = 0;  // high-water mark of pending.size()
-    std::int64_t rejected = 0;    // submits shed by the overload policy
-    std::int64_t blocked = 0;     // submits that had to wait for a slot
+    std::int64_t rejected = 0;    // submits shed because the queue was full
     LatencyRing latency{kLatencyWindow};  // enqueue→resolve, microseconds
   };
 
@@ -344,8 +317,6 @@ class InferenceEngine {
   int max_batch_ = 64;
   int default_replicas_ = 1;
   int queue_capacity_ = 1024;
-  OverloadPolicy overload_policy_ = OverloadPolicy::kReject;
-  int block_timeout_ms_ = 0;
   bool defense_enabled_ = false;
 
   // Lock hierarchy (outermost first): shards_mutex_ -> queue_mutex_ ->

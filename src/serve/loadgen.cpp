@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
-#include <deque>
 #include <exception>
 #include <memory>
 #include <mutex>
@@ -12,7 +10,6 @@
 #include <thread>
 #include <utility>
 
-#include "src/net/client.h"
 #include "src/util/lockdep.h"
 #include "src/util/rng.h"
 
@@ -72,16 +69,6 @@ void LoadConfig::validate() const {
                                     "\" appears twice in the mix; merge the weights");
       }
     }
-  }
-}
-
-void SocketTransport::validate() const {
-  if (host.empty()) {
-    throw std::invalid_argument("SocketTransport: host must not be empty");
-  }
-  if (connections < 1) {
-    throw std::invalid_argument("SocketTransport: connections must be >= 1 (got " +
-                                std::to_string(connections) + ")");
   }
 }
 
@@ -218,7 +205,7 @@ LoadReport LoadGenerator::run(const tensor::Tensor& image) {
       ++state->outstanding;
     }
     try {
-      engine_.submit(image.clone(), std::move(options),
+      engine_.submit(image, std::move(options),
                      [state, m, scheduled, reservoir](std::exception_ptr error, Prediction) {
                        const Clock::time_point now = Clock::now();
                        std::lock_guard<util::DebugMutex> lock(state->mutex);
@@ -272,163 +259,6 @@ LoadReport LoadGenerator::run(const tensor::Tensor& image) {
     report.failed += vs.failed;
     if (t.count > 0) end = std::max(end, t.last_completion);
     report.variants.push_back(std::move(vs));
-  }
-  report.duration_s = std::chrono::duration<double>(end - t0).count();
-  fill_snapshot(report.latency, merged, report.served);
-  if (report.duration_s > 0.0) {
-    report.achieved_rps = static_cast<double>(report.served) / report.duration_s;
-  }
-  return report;
-}
-
-namespace {
-
-/// Outcome of one socket request, recorded by its connection's harvester.
-struct SocketRecord {
-  std::size_t index = 0;  // schedule index (variant + scheduled time)
-  enum { kServed, kRejected, kFailed } outcome = kServed;
-  double latency_us = 0.0;
-  Clock::time_point completion{};
-};
-
-/// One client connection plus its share of the pipelined schedule.
-struct SocketLane {
-  std::unique_ptr<net::Client> client;
-  util::DebugMutex mutex BLURNET_LOCK_CLASS("serve::LoadGenerator::lane");
-  util::DebugConditionVariable cv;
-  std::deque<std::pair<std::size_t, std::uint32_t>> inbox;  // (schedule idx, request id)
-  bool done = false;
-  std::vector<SocketRecord> records;  // harvester-local until the join
-};
-
-}  // namespace
-
-LoadReport LoadGenerator::run_socket(const SocketTransport& transport,
-                                     const tensor::Tensor& image) {
-  transport.validate();
-  const auto lanes_n = static_cast<std::size_t>(transport.connections);
-  std::vector<SocketLane> lanes(lanes_n);
-  for (auto& lane : lanes) {
-    lane.client = std::make_unique<net::Client>(transport.host, transport.port);
-    lane.client->ping();  // fail before any traffic if nothing answers
-  }
-
-  const Clock::time_point t0 = Clock::now();
-  std::vector<std::thread> harvesters;
-  harvesters.reserve(lanes_n);
-  for (auto& lane : lanes) {
-    harvesters.emplace_back([this, &lane, t0] {
-      for (;;) {
-        std::pair<std::size_t, std::uint32_t> item;
-        {
-          std::unique_lock<util::DebugMutex> lock(lane.mutex);
-          lane.cv.wait(lock, [&] { return lane.done || !lane.inbox.empty(); });
-          if (lane.inbox.empty()) return;  // done and drained
-          item = std::move(lane.inbox.front());
-          lane.inbox.pop_front();
-        }
-        SocketRecord record;
-        record.index = item.first;
-        try {
-          lane.client->receive_classify(item.second);
-          record.outcome = SocketRecord::kServed;
-        } catch (const OverloadError&) {
-          record.outcome = SocketRecord::kRejected;  // server-side shed
-        } catch (const std::exception&) {
-          record.outcome = SocketRecord::kFailed;
-        }
-        record.completion = Clock::now();
-        record.latency_us =
-            std::chrono::duration<double, std::micro>(record.completion - t0).count() -
-            offsets_[item.first] * 1e6;
-        lane.records.push_back(record);
-      }
-    });
-  }
-
-  // Open-loop sender, same absolute-time firing as run(); the wire write is
-  // the only thing that differs. A send failure (server gone) is recorded as
-  // a failed request and the lane stops being used.
-  std::vector<std::int64_t> send_failed(mix_.size(), 0);
-  for (std::size_t i = 0; i < offsets_.size(); ++i) {
-    const std::size_t m = variants_[i];
-    SocketLane& lane = lanes[i % lanes_n];
-    std::this_thread::sleep_until(
-        t0 + std::chrono::duration_cast<Clock::duration>(
-                 std::chrono::duration<double>(offsets_[i])));
-    std::uint32_t request_id = 0;
-    try {
-      request_id = lane.client->send_classify(image, mix_[m].variant, config_.max_batch);
-    } catch (const std::exception&) {
-      ++send_failed[m];
-      continue;
-    }
-    {
-      std::lock_guard<util::DebugMutex> lock(lane.mutex);
-      lane.inbox.emplace_back(i, request_id);
-    }
-    lane.cv.notify_one();
-  }
-  for (auto& lane : lanes) {
-    {
-      std::lock_guard<util::DebugMutex> lock(lane.mutex);
-      lane.done = true;
-    }
-    lane.cv.notify_one();
-  }
-  for (auto& t : harvesters) t.join();
-
-  // Merge the per-lane records into per-variant reservoirs (ring of the
-  // latest `reservoir` samples, like run()).
-  const auto reservoir = static_cast<std::size_t>(config_.reservoir);
-  LoadReport report;
-  report.offered_rps = config_.offered_rps;
-  report.offered = static_cast<std::int64_t>(offsets_.size());
-  Clock::time_point end = Clock::now();
-
-  std::vector<VariantLoadStats> per_variant(mix_.size());
-  std::vector<std::vector<double>> windows(mix_.size());
-  std::vector<std::int64_t> counts(mix_.size(), 0);
-  std::vector<double> merged;
-  for (std::size_t m = 0; m < mix_.size(); ++m) {
-    per_variant[m].variant = mix_[m].variant;
-    per_variant[m].failed = send_failed[m];
-    for (const std::size_t idx : variants_) {
-      if (idx == m) ++per_variant[m].offered;
-    }
-  }
-  for (const auto& lane : lanes) {
-    for (const auto& record : lane.records) {
-      const std::size_t m = variants_[record.index];
-      switch (record.outcome) {
-        case SocketRecord::kServed: {
-          auto& window = windows[m];
-          if (window.size() < reservoir) {
-            window.push_back(record.latency_us);
-          } else {
-            window[static_cast<std::size_t>(counts[m]) % reservoir] = record.latency_us;
-          }
-          ++counts[m];
-          ++per_variant[m].served;
-          end = std::max(end, record.completion);
-          break;
-        }
-        case SocketRecord::kRejected:
-          ++per_variant[m].rejected;
-          break;
-        case SocketRecord::kFailed:
-          ++per_variant[m].failed;
-          break;
-      }
-    }
-  }
-  for (std::size_t m = 0; m < mix_.size(); ++m) {
-    fill_snapshot(per_variant[m].latency, windows[m], counts[m]);
-    merged.insert(merged.end(), windows[m].begin(), windows[m].end());
-    report.served += per_variant[m].served;
-    report.rejected += per_variant[m].rejected;
-    report.failed += per_variant[m].failed;
-    report.variants.push_back(std::move(per_variant[m]));
   }
   report.duration_s = std::chrono::duration<double>(end - t0).count();
   fill_snapshot(report.latency, merged, report.served);

@@ -25,9 +25,9 @@
 //   * kUniform — fixed pacing at exactly 1/offered_rps; the no-variance
 //     baseline that isolates service-time jitter from arrival jitter.
 //
-// Rejected submits (OverloadError under the engine's reject policy, or a
-// block-policy timeout) are counted per variant, never retried — an open-loop
-// shed is load the server refused, which is the datum. Each request is timed
+// Rejected submits (OverloadError from a full engine queue) are counted per
+// variant, never retried — an open-loop shed is load the server refused,
+// which is the datum. Each request is timed
 // by its own engine completion callback, so a request that overtakes a slower
 // earlier one (another replica's batch) is charged only its own latency.
 #pragma once
@@ -86,22 +86,6 @@ struct VariantLoadStats {
   LatencySnapshot latency;    // completion − scheduled arrival, microseconds
 };
 
-/// Where run_socket() sends its traffic: a running blurnetd server. The
-/// schedule (arrivals, variant routing) is identical to run()'s — the
-/// transport only changes *how* each request travels. Request i is pipelined
-/// on client connection i % connections, so the per-connection interleaving is
-/// itself deterministic.
-struct SocketTransport {
-  std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  /// Concurrent client connections (>= 1). Each connection pipelines its share
-  /// of the schedule and harvests responses on its own thread.
-  int connections = 2;
-
-  /// Reject malformed configs with a descriptive std::invalid_argument.
-  void validate() const;
-};
-
 struct LoadReport {
   double offered_rps = 0.0;   // from the config
   double achieved_rps = 0.0;  // served / duration
@@ -131,20 +115,11 @@ class LoadGenerator {
   const std::vector<VariantMix>& mix() const { return mix_; }
   const LoadConfig& config() const { return config_; }
 
-  /// Replay the schedule against the engine, submitting clones of `image`
-  /// (CHW). Blocks until every non-rejected request resolves. May be called
-  /// repeatedly; each run replays the identical schedule.
+  /// Replay the schedule against the engine, submitting `image` (CHW; submit()
+  /// copies it on admission). Blocks until every non-rejected request
+  /// resolves. May be called repeatedly; each run replays the identical
+  /// schedule.
   LoadReport run(const tensor::Tensor& image);
-
-  /// Replay the same schedule against a blurnetd server over TCP instead of
-  /// the in-process engine: requests travel as kClassify frames, pipelined
-  /// across `transport.connections` client connections, and latency is still
-  /// measured open-loop (completion − scheduled arrival), now including the
-  /// wire. Server-side sheds come back as kOverload error frames and are
-  /// counted per variant as `rejected`; kShuttingDown / kInvalidRequest /
-  /// transport failures count as `failed`. The engine this generator was built
-  /// with is not touched — the server may wrap it or live in another process.
-  LoadReport run_socket(const SocketTransport& transport, const tensor::Tensor& image);
 
  private:
   void build_schedule();

@@ -24,7 +24,6 @@
 #include "src/net/socket.h"
 #include "src/net/wire.h"
 #include "src/serve/engine.h"
-#include "src/serve/loadgen.h"
 #include "src/tensor/tensor.h"
 #include "src/util/rng.h"
 
@@ -349,7 +348,15 @@ TEST(Wire, StatsRoundTrip) {
   variant.variant = "base";
   variant.replicas = 2;
   variant.requests = 58;
+  variant.images = 70;
+  variant.rejected = 4;
+  variant.queue_depth = 1;
+  variant.queue_peak = 6;
+  variant.latency_count = 58;
+  variant.latency_mean_us = 800.25;
+  variant.latency_p50_us = 700.5;
   variant.latency_p99_us = 1234.5;
+  variant.latency_p999_us = 2000.75;
   stats.variants.push_back(variant);
   WireConnectionStats connection;
   connection.id = 9;
@@ -357,6 +364,9 @@ TEST(Wire, StatsRoundTrip) {
   stats.connections.push_back(connection);
 
   const auto bytes = encode_stats(stats);
+  // Version 2 layout: 14 i64 counters, then per variant a u16-prefixed name,
+  // 7 i64 counters and 4 f64 latencies, then per connection a u64 id and 5 i64.
+  EXPECT_EQ(bytes.size(), 14 * 8 + 4 + (2 + 4 + 7 * 8 + 4 * 8) + 4 + (8 + 5 * 8));
   const ServerStats decoded = decode_stats(bytes.data(), bytes.size());
   EXPECT_EQ(decoded.accepted, 5);
   EXPECT_EQ(decoded.open_connections, 2);
@@ -364,13 +374,51 @@ TEST(Wire, StatsRoundTrip) {
   EXPECT_EQ(decoded.classify, 60);
   EXPECT_EQ(decoded.overloads, 3);
   ASSERT_EQ(decoded.variants.size(), 1u);
-  EXPECT_EQ(decoded.variants[0].variant, "base");
-  EXPECT_EQ(decoded.variants[0].replicas, 2);
-  EXPECT_EQ(decoded.variants[0].requests, 58);
-  EXPECT_EQ(decoded.variants[0].latency_p99_us, 1234.5);
+  const WireVariantStats& v = decoded.variants[0];
+  EXPECT_EQ(v.variant, "base");
+  EXPECT_EQ(v.replicas, 2);
+  EXPECT_EQ(v.requests, 58);
+  EXPECT_EQ(v.images, 70);
+  EXPECT_EQ(v.rejected, 4);
+  EXPECT_EQ(v.queue_depth, 1);
+  EXPECT_EQ(v.queue_peak, 6);
+  EXPECT_EQ(v.latency_count, 58);
+  EXPECT_EQ(v.latency_mean_us, 800.25);
+  EXPECT_EQ(v.latency_p50_us, 700.5);
+  EXPECT_EQ(v.latency_p99_us, 1234.5);
+  EXPECT_EQ(v.latency_p999_us, 2000.75);
   ASSERT_EQ(decoded.connections.size(), 1u);
   EXPECT_EQ(decoded.connections[0].id, 9u);
   EXPECT_EQ(decoded.connections[0].bytes_in, 4096);
+}
+
+TEST(Wire, StatsVariantCountIsBoundedByTheSmallestEntry) {
+  // Each variant entry takes at least 90 bytes (an empty name's u16 prefix,
+  // 7 i64 counters, 4 f64 latencies). A count that fits is decoded; one more
+  // than remaining / 90 is rejected by the bound check, before reserve().
+  const auto payload = [](std::uint32_t count, int entries) {
+    WireWriter w;
+    for (int i = 0; i < 14; ++i) w.put_i64(0);  // scalar counters
+    w.put_u32(count);
+    for (int e = 0; e < entries; ++e) {
+      w.put_string("");
+      for (int i = 0; i < 7; ++i) w.put_i64(i);
+      for (int i = 0; i < 4; ++i) w.put_f64(0.5 * i);
+    }
+    w.put_u32(0);  // connection count
+    return w.bytes();
+  };
+  const auto fits = payload(2, 2);  // remaining = 2 * 90 + 4
+  EXPECT_EQ(decode_stats(fits.data(), fits.size()).variants.size(), 2u);
+
+  const auto hostile = payload(3, 2);  // 3 == remaining / 90 + 1
+  try {
+    decode_stats(hostile.data(), hostile.size());
+    FAIL() << "expected WireError for a variant count past the payload";
+  } catch (const WireError& e) {
+    EXPECT_NE(std::string(e.what()).find("variant count 3 exceeds"), std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- server + client over loopback -----------------------------------------
@@ -458,7 +506,6 @@ TEST(Server, UnknownVariantErrorListsRegisteredVariants) {
 TEST(Server, OverloadComesBackAsOverloadError) {
   serve::EngineConfig config = small_engine_config();
   config.queue_capacity = 1;
-  config.overload_policy = serve::OverloadPolicy::kReject;
   serve::InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_pipeline_variant("gated", gate);
@@ -498,23 +545,6 @@ TEST(Server, OverloadComesBackAsOverloadError) {
   EXPECT_EQ(served, 2);
   EXPECT_GE(server.stats().overloads, 2);
   server.stop();
-}
-
-TEST(Server, RejectsBlockingEngine) {
-  // Admission runs on the event loop, so any kBlock engine is refused —
-  // bounded timeout or not, a blocking submit() would stall every connection.
-  for (const int timeout_ms : {0, 10000}) {
-    serve::EngineConfig config = small_engine_config();
-    config.overload_policy = serve::OverloadPolicy::kBlock;
-    config.block_timeout_ms = timeout_ms;
-    serve::InferenceEngine engine(config);
-    try {
-      Server server(engine, {});
-      FAIL() << "expected std::invalid_argument for kBlock, timeout " << timeout_ms;
-    } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("kBlock"), std::string::npos) << e.what();
-    }
-  }
 }
 
 TEST(Server, EventLoopStaysResponsiveWhileGatedRequestsAreHeld) {
@@ -799,45 +829,6 @@ TEST(Server, ValidatesConfig) {
   config = {};
   config.host = "not-a-host-name";
   EXPECT_THROW(Server(engine, config), SocketError);
-}
-
-// ---- load generator over the socket transport ------------------------------
-
-TEST(LoadGenerator, SocketTransportMatchesScheduleAndServes) {
-  serve::InferenceEngine engine(small_engine_config(2));
-  Server server(engine, {});
-
-  serve::LoadConfig load;
-  load.offered_rps = 400.0;
-  load.requests = 60;
-  load.seed = 7;
-  load.mix = {{serve::kBaseVariant, 1.0}, {serve::kDefendedVariant, 1.0}};
-  serve::LoadGenerator generator(engine, load);
-
-  serve::SocketTransport transport;
-  transport.port = server.port();
-  transport.connections = 3;
-  const auto image = single_image(random_batch(1, 61), 0);
-  const serve::LoadReport report = generator.run_socket(transport, image);
-
-  EXPECT_EQ(report.offered, 60);
-  EXPECT_EQ(report.served, 60);
-  EXPECT_EQ(report.rejected, 0);
-  EXPECT_EQ(report.failed, 0);
-  EXPECT_GT(report.latency.p50_us, 0.0);
-  std::int64_t per_variant_offered = 0;
-  for (const auto& variant : report.variants) per_variant_offered += variant.offered;
-  EXPECT_EQ(per_variant_offered, 60);
-
-  // All traffic arrived through the socket front-end, spread over the lanes.
-  const ServerStats stats = server.stats();
-  EXPECT_EQ(stats.accepted, 3);
-  EXPECT_EQ(stats.classify, 60);
-  EXPECT_EQ(stats.overloads, 0);
-  server.stop();
-
-  EXPECT_THROW((serve::SocketTransport{"", 1, 1}.validate()), std::invalid_argument);
-  EXPECT_THROW((serve::SocketTransport{"127.0.0.1", 1, 0}.validate()), std::invalid_argument);
 }
 
 }  // namespace

@@ -755,35 +755,13 @@ TEST(EngineConfig, ValidatesQueueAndOverloadKnobs) {
   EXPECT_THROW(InferenceEngine{config}, std::invalid_argument);
   config.queue_capacity = -3;
   EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  config = small_engine_config();
-  config.block_timeout_ms = -1;
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-
-  // The nonsensical combination: a reject-policy engine never waits.
-  config = small_engine_config();
-  config.overload_policy = OverloadPolicy::kReject;
-  config.block_timeout_ms = 100;
-  try {
-    config.validate();
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("block_timeout_ms"), std::string::npos) << message;
-    EXPECT_NE(message.find("kBlock"), std::string::npos) << message;
-  }
-
-  // The same timeout is fine under kBlock.
-  config.overload_policy = OverloadPolicy::kBlock;
-  EXPECT_NO_THROW(config.validate());
-  config.block_timeout_ms = 0;
+  config.queue_capacity = 1;
   EXPECT_NO_THROW(config.validate());
 }
 
 TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   EngineConfig config = small_engine_config();
   config.queue_capacity = 2;
-  config.overload_policy = OverloadPolicy::kReject;
   InferenceEngine engine(config);
   auto gate = std::make_shared<GateTransform>();
   engine.register_pipeline_variant("gated", gate);
@@ -804,7 +782,6 @@ TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   EXPECT_EQ(stats.queue_depth, 2);
   EXPECT_EQ(stats.queue_peak, 2);
   EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.blocked, 0);
 
   // Release the gate: every admitted request resolves, bitwise equal to the
   // synchronous path, and the drained engine serves new traffic again.
@@ -822,161 +799,6 @@ TEST(Engine, RejectPolicyShedsWhenQueueIsFullAndServesAfterDraining) {
   EXPECT_GT(stats.latency.p99_us, 0.0);
 }
 
-TEST(Engine, BlockPolicyBackpressuresUntilASlotFrees) {
-  EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  InferenceEngine engine(config);
-  auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
-
-  const auto batch = random_batch(4, 73);
-  const Options options{"gated"};
-  auto first = engine.submit(single_image(batch, 0), options);
-  gate->wait_entered(1);                                        // worker parked
-  auto second = engine.submit(single_image(batch, 1), options);  // queue now full
-
-  std::atomic<bool> third_submitted{false};
-  std::future<Prediction> third;
-  std::thread submitter([&] {
-    third = engine.submit(single_image(batch, 2), options);  // must block
-    third_submitted.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(third_submitted.load());  // still backpressured
-
-  gate->open();  // worker drains; the blocked submit admits and resolves
-  submitter.join();
-  EXPECT_TRUE(third_submitted.load());
-
-  const auto expected = engine.classify(batch, options);
-  expect_bitwise_equal(first.get(), expected[0], "first");
-  expect_bitwise_equal(second.get(), expected[1], "second");
-  expect_bitwise_equal(third.get(), expected[2], "third");
-  const VariantStats stats = engine.variant_stats("gated");
-  EXPECT_EQ(stats.rejected, 0);
-  EXPECT_GE(stats.blocked, 1);
-  EXPECT_EQ(stats.queue_peak, 1);
-}
-
-TEST(Engine, BlockPolicyTimeoutShedsWithOverloadError) {
-  EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  config.block_timeout_ms = 40;
-  InferenceEngine engine(config);
-  auto gate = std::make_shared<GateTransform>();
-  engine.register_pipeline_variant("gated", gate);
-
-  const auto batch = random_batch(3, 77);
-  const Options options{"gated"};
-  auto first = engine.submit(single_image(batch, 0), options);
-  gate->wait_entered(1);
-  auto second = engine.submit(single_image(batch, 1), options);  // fills the queue
-  try {
-    engine.submit(single_image(batch, 2), options);
-    FAIL() << "expected OverloadError after the block timeout";
-  } catch (const OverloadError& e) {
-    const std::string message = e.what();
-    EXPECT_NE(message.find("timed out"), std::string::npos) << message;
-  }
-  const VariantStats stats = engine.variant_stats("gated");
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_GE(stats.blocked, 1);
-  gate->open();
-  first.get();
-  second.get();
-}
-
-/// A gate that admits one apply() per release(): lets a test free exactly one
-/// queue slot at a time and watch who gets it.
-class StepGate : public defense::InputTransform {
- public:
-  StepGate() : InputTransform(defense::TransformSpec::none(), "step-gate") {}
-
-  tensor::Tensor apply(const tensor::Tensor& images) const override {
-    entered_.fetch_add(1);
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [&] { return tokens_ > 0; });
-    --tokens_;
-    return images.clone();
-  }
-
-  /// Spin until `n` apply() calls have started (a worker holds a batch).
-  void wait_entered(int n) const {
-    while (entered_.load() < n) std::this_thread::yield();
-  }
-
-  void release(int n = 1) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      tokens_ += n;
-    }
-    cv_.notify_all();
-  }
-
- private:
-  mutable std::atomic<int> entered_{0};
-  mutable std::mutex mutex_;
-  mutable std::condition_variable cv_;
-  mutable int tokens_ = 0;
-};
-
-TEST(Engine, BlockAdmissionIsFifo) {
-  // One replica, a one-slot queue, and a gate that serves one image per
-  // release: freeing a single slot must admit the *longest-waiting* blocked
-  // submitter, not whichever thread the scheduler happens to wake.
-  EngineConfig config = small_engine_config();
-  config.queue_capacity = 1;
-  config.overload_policy = OverloadPolicy::kBlock;
-  InferenceEngine engine(config);
-  auto gate = std::make_shared<StepGate>();
-  engine.register_pipeline_variant("gated", gate);
-
-  const auto batch = random_batch(4, 83);
-  Options options{"gated"};
-  options.max_batch = 1;  // one image per coalesced batch: slots free one at a time
-
-  auto leader = engine.submit(single_image(batch, 0), options);
-  gate->wait_entered(1);                                         // worker parks in the gate
-  auto filler = engine.submit(single_image(batch, 1), options);  // queue now full
-
-  auto blocked_count = [&] { return engine.variant_stats("gated").blocked; };
-  std::atomic<bool> first_admitted{false}, second_admitted{false};
-  std::future<Prediction> first_waiter, second_waiter;
-  std::thread first_thread([&] {
-    first_waiter = engine.submit(single_image(batch, 2), options);
-    first_admitted.store(true);
-  });
-  while (blocked_count() < 1) std::this_thread::yield();  // first waiter is in line
-  std::thread second_thread([&] {
-    second_waiter = engine.submit(single_image(batch, 3), options);
-    second_admitted.store(true);
-  });
-  while (blocked_count() < 2) std::this_thread::yield();  // second waiter queued behind
-
-  // Serve the leader: the worker then pops the filler, freeing exactly one
-  // slot. FIFO admission means the first waiter takes it — deterministically.
-  gate->release();
-  while (!first_admitted.load()) std::this_thread::yield();
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(second_admitted.load()) << "slot went to the later arrival";
-
-  // Serve the filler: the next freed slot admits the second waiter.
-  gate->release();
-  second_thread.join();
-  EXPECT_TRUE(second_admitted.load());
-  first_thread.join();
-
-  gate->release(100);  // let the waiters' requests and the check below through
-  const auto expected = engine.classify(batch, options);
-  expect_bitwise_equal(leader.get(), expected[0], "leader");
-  expect_bitwise_equal(filler.get(), expected[1], "filler");
-  expect_bitwise_equal(first_waiter.get(), expected[2], "first waiter");
-  expect_bitwise_equal(second_waiter.get(), expected[3], "second waiter");
-  EXPECT_GE(engine.variant_stats("gated").blocked, 2);
-}
-
 TEST(Engine, SubmitIsBitwiseDeterministicAcrossQueueCapacities) {
   const auto batch = random_batch(12, 79);
   const InferenceEngine reference(small_engine_config());
@@ -986,13 +808,24 @@ TEST(Engine, SubmitIsBitwiseDeterministicAcrossQueueCapacities) {
     for (const int replicas : {1, 3}) {
       EngineConfig config = small_engine_config(replicas);
       config.queue_capacity = capacity;
-      // Backpressure, never shed: every request is served no matter how
-      // small the queue, so the comparison covers all 12 images.
-      config.overload_policy = OverloadPolicy::kBlock;
       InferenceEngine engine(config);
-      std::vector<std::future<Prediction>> futures;
-      for (std::int64_t i = 0; i < batch.dim(0); ++i) {
-        futures.push_back(engine.submit(single_image(batch, i)));
+      // A shed is retried, never dropped: on OverloadError wait for the
+      // oldest outstanding request, then resubmit the same image, so the
+      // comparison covers all 12 images however small the queue. Once every
+      // earlier request has resolved the queue is empty, so each image is
+      // admitted before `oldest` can pass it.
+      std::vector<std::future<Prediction>> futures(static_cast<std::size_t>(batch.dim(0)));
+      std::size_t oldest = 0;
+      for (std::size_t i = 0; i < futures.size(); ++i) {
+        for (;;) {
+          try {
+            futures[i] = engine.submit(single_image(batch, static_cast<std::int64_t>(i)));
+            break;
+          } catch (const OverloadError&) {
+            ASSERT_LT(oldest, i);
+            futures[oldest++].wait();
+          }
+        }
       }
       for (std::size_t i = 0; i < futures.size(); ++i) {
         expect_bitwise_equal(futures[i].get(), expected[i],
@@ -1058,7 +891,6 @@ TEST(Engine, CompletionNeverRunsWhenSubmitThrows) {
   {
     EngineConfig config = small_engine_config();
     config.queue_capacity = 1;
-    config.overload_policy = OverloadPolicy::kReject;
     InferenceEngine engine(config);
     auto gate = std::make_shared<GateTransform>();
     engine.register_pipeline_variant("gated", gate);

@@ -42,6 +42,9 @@ linters cannot express:
                       itself grows a second forward that tests must then keep
                       bitwise in step. (Its declaration and definition in
                       src/autograd/variable.{h,cpp} carry allow markers.)
+  serve-layering      no `#include "src/net/..."` under src/serve: the engine
+                      sits below blurnetd, and the socket front-end depends on
+                      it, never the other way round.
 
 Comments and string literals are stripped before matching, so prose like
 "no new classify requests" never trips a rule. A finding can be suppressed
@@ -374,6 +377,34 @@ def check_parallel_cost(path: Path, text: str) -> list:
 
 
 # ---------------------------------------------------------------------------
+# serve-layering
+
+# Matched against the raw line: stripping blanks the quoted include path. A
+# commented-out include is still skipped, since the stripped line is blank.
+NET_INCLUDE = re.compile(r'^\s*#\s*include\s*"src/net/')
+
+
+def check_serve_layering(path: Path, text: str) -> list:
+    findings = []
+    stripped = strip_comments_and_strings(text).split("\n")
+    for idx, raw in enumerate(text.split("\n")):
+        if not NET_INCLUDE.search(raw) or not stripped[idx].strip():
+            continue
+        if allowed(raw, "serve-layering"):
+            continue
+        findings.append(
+            Finding(
+                "serve-layering",
+                path,
+                idx + 1,
+                "src/serve includes src/net — the engine must not depend on the "
+                "socket front-end built on top of it",
+            )
+        )
+    return findings
+
+
+# ---------------------------------------------------------------------------
 # driver
 
 
@@ -387,6 +418,8 @@ def lint_file(path: Path, rel: str, text: str) -> list:
     findings += check_simd_confinement(path, text, rel)
     if rel.startswith("src/"):
         findings += check_parallel_cost(path, text)
+    if rel.startswith("src/serve/"):
+        findings += check_serve_layering(path, text)
     return findings
 
 
@@ -587,6 +620,18 @@ SELF_TESTS = [
         "Variable relu(const Variable& a) {\n"
         "  if (!grad_enabled()) return Variable::constant(tensor::relu(a.value()));\n}\n",
         "grad-mode",
+    ),
+    (
+        "serve-includes-net",
+        "src/serve/loadgen.cpp",
+        '#include "src/serve/loadgen.h"\n\n#include "src/net/client.h"\n',
+        "serve-layering",
+    ),
+    (
+        "serve-includes-serve-is-clean",
+        "src/serve/loadgen.cpp",
+        '#include "src/serve/engine.h"\n// see src/net/server.h for the front-end\n',
+        None,
     ),
 ]
 

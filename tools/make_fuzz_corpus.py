@@ -19,7 +19,7 @@ import struct
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "fuzz", "corpus")
 
 MAGIC = 0x544E4C42
-VERSION = 1
+VERSION = 2
 
 OP_CLASSIFY = 0x01
 OP_CLASSIFY_BATCH = 0x02
@@ -76,7 +76,7 @@ def stats_payload(variants=1, connections=1):
     body = b"".join(i64(v) for v in range(14))
     body += u32(variants)
     for i in range(variants):
-        body += wstr(f"variant{i}") + b"".join(i64(j) for j in range(8))
+        body += wstr(f"variant{i}") + b"".join(i64(j) for j in range(7))
         body += b"".join(f64(1.5 * j) for j in range(4))
     body += u32(connections)
     for i in range(connections):
